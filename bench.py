@@ -83,8 +83,9 @@ def ensure_corpus(sf: float) -> str:
 
 
 def bench_extract(corpus_path: str, num_cpus: int) -> dict:
-    """Time the flagship pipeline end-to-end (read -> sniff -> dedup ->
-    actor-pool extract -> consume), report docs/s and input MB/s."""
+    """Time the stream driver end-to-end (dup index -> one task per shard
+    group: keys pass, sniff, extract -> parquet write), report docs/s and
+    input MB/s."""
     import pyarrow.dataset as pads
 
     from pdf_extractor_ray.pipelines.extract import extracted_dataset
@@ -98,11 +99,9 @@ def bench_extract(corpus_path: str, num_cpus: int) -> dict:
     out_dir = "/tmp/graft_bench_stream_out"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.perf_counter()
+    # one partition per input shard (the stream driver's default)
     ds = extracted_dataset(
-        corpus_path,
-        n_partitions=max(64, 4 * num_cpus),
-        batch_size=128,
-        concurrency=max(2, num_cpus - 2),
+        corpus_path, batch_size=128, concurrency=max(2, num_cpus - 2)
     )
     # production consume: distributed parquet write (funnelling the output
     # through driver iter_batches measured 1.5x slower at 32 cpus)
@@ -398,8 +397,7 @@ def dump_stream_stats(sf_dir: str, num_cpus: int) -> str:
     from pdf_extractor_ray.pipelines.extract import extracted_dataset
 
     corpus = ensure_corpus(sf_of(sf_dir))
-    ds = extracted_dataset(corpus, n_partitions=max(64, 4 * num_cpus),
-                           concurrency=max(2, num_cpus - 2))
+    ds = extracted_dataset(corpus, concurrency=max(2, num_cpus - 2))
     for _ in ds.iter_batches(batch_format="pyarrow", batch_size=4096):
         pass
     stats = ds.stats()
@@ -515,7 +513,9 @@ def main() -> None:
         # run the measurement in a child process and retry once: a long
         # single session driving ~150 datasets occasionally trips Ray-core
         # fatal checks (task_manager.cc/reference_count.cc races) that kill
-        # the raylet outright — unrecoverable in-process, clean on retry
+        # the raylet outright — unrecoverable in-process, clean on retry.
+        # The attempt number lands in RESULT.json and the printed line, so
+        # a run that needed the retry says so.
         for attempt in (1, 2):
             p = subprocess.run(
                 [sys.executable, os.path.abspath(__file__),
@@ -529,6 +529,7 @@ def main() -> None:
             ]
             if p.returncode == 0 and lines:
                 full = json.loads(lines[-1])
+                full["attempt"] = attempt
                 # Full per-query record -> BENCH/RESULT.json (the r2 line at
                 # 127 stages outgrew the driver's 2 KB tail capture and
                 # graded as parsed=null); print a COMPACT final line with
@@ -561,6 +562,7 @@ def main() -> None:
                     "extract_checkpoint": full["extract_checkpoint"],
                     "corpus_training": full["corpus_training"],
                     "training_shards": full.get("training_shards"),
+                    "attempt": attempt,
                     "n_queries": len(q),
                     "queries_total_s": round(
                         sum(v for k, v in q.items() if k not in headline), 3

@@ -40,7 +40,12 @@ PAGES_OUT_SCHEMA = pa.schema(
 
 
 def oracle_extract_tables(pages: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """(extracted, extracted_pages) for an input ``pages`` table."""
+    """(extracted, extracted_pages) for an input ``pages`` table. A null url
+    raises ``ValueError``, as in the pipeline's keys pass."""
+    if pages["url"].null_count:
+        raise ValueError(
+            f"pages table has {pages['url'].null_count} row(s) with a null url"
+        )
     # first-wins dedup: min warc_ts per url, ties broken by input order
     best: dict[str, int] = {}
     urls = pages["url"].to_pylist()

@@ -1,44 +1,54 @@
 """The flagship pipeline: Common-Crawl-style pages -> extracted main content.
 
-Ray-Data restatement of the reference's upload -> fan-out -> extract ->
-persist lifecycle (``/root/reference/backend/src/main.py:324-489`` +
-``backend/src/tasks.py:154-351``; SURVEY.md §3.1):
+Ray restatement of the reference's upload -> fan-out -> extract -> persist
+lifecycle (``/root/reference/backend/src/main.py:324-489`` +
+``backend/src/tasks.py:154-351``; SURVEY.md §3.1).
 
-    read_parquet(pages shards, columns pruned)
-      -> [keys-only dup-index scan, broadcast]        # stages/dedup.py
-      -> map_batches(fused task stage)                # sniff + dedup-filter
-      -> write parquet | iterate                      #   + extract, one hop
+One extraction body, ``iter_partition``, turns a partition — a
+deterministic contiguous group of input shards (``shard_groups``; the
+Common-Crawl pattern: a WARC shard range is the unit of re-run) — into
+extracted row batches:
+
+    keys-only pass: read (url, warc_ts), apply the broadcast dup index
+      -> stream payload row groups through the keep masks
+      -> sniff_and_partition -> extract_batch
 
 The payload-bearing dataflow is **shuffle-free**: dedup is decided from a
-16-byte-per-row key scan broadcast back as a filter (measured: a payload
-all-to-all for dedup cost 6-8x the entire rest of the pipeline at sf0.1;
-see stages/dedup.py for the scale argument and its documented limits).
+16-byte-per-row key scan plus a broadcast index of the duplicated urls
+(measured: a payload all-to-all for dedup cost 6-8x the entire rest of the
+pipeline at sf0.1; see stages/dedup.py for the scale argument and its
+documented limits).
 
-Two physical modes:
+Two drivers run that body, and give the same rows, ``doc_id`` and
+``partition_id`` included:
 
-* ``stream`` — fully pipelined streaming Dataset; extraction is a cached
-  task transform; output is sharded parquet. Fastest; crash = rerun.
-* ``checkpoint`` — resumable. Partition = deterministic contiguous group of
-  input shards (the Common-Crawl pattern: a WARC shard range is the unit of
-  re-run). Each partition is ONE raw Ray task: column-pruned read ->
-  broadcast-dedup -> sniff -> extract -> per-url-sorted atomic write +
-  `_MANIFEST.json`. Raw tasks (not Dataset) because per-partition atomic
-  visibility + skip-on-resume is exactly what the Dataset API can't express
-  (SURVEY.md §4 checkpoint row). A re-run with ``resume=True`` skips
-  completed partitions entirely — their bytes are never read again.
+* ``run_checkpoint`` — resumable. Each partition is ONE raw Ray task
+  (``process_partition``) that writes the batches through an atomic temp
+  dir and a ``_MANIFEST.json``. Raw tasks (not Dataset) because
+  per-partition atomic visibility + skip-on-resume is exactly what the
+  Dataset API can't express (SURVEY.md §4 checkpoint row). A re-run with
+  ``resume=True`` skips completed partitions entirely — their bytes are
+  never read again.
+* ``extracted_dataset`` / ``run_stream`` — the same partitions as one lazy
+  Ray Dataset, one ``map_batches`` task per partition, nothing persisted;
+  a crash means a rerun. Payload bytes enter the object store only as
+  extracted rows, and dedup needs no per-batch tie provenance because the
+  keys pass sees whole shards.
 
 Scale notes (100 TB): no stage materializes the corpus; the only global
 state is the duplicated-url index (small by assumption, asserted). Skew:
 oversized documents are parsed page-wise inside the kernel and partitions
 are ~equal input-shard counts; 4x more partitions than cluster cores keeps
-stragglers rebalancing. The url-hash ``partition_id`` column (crc32(url)%P)
-rides on every output row for downstream bucketing/joins.
+stragglers rebalancing. The url-hash ``partition_id`` column
+(crc32(url) % ``DEFAULT_URL_BUCKETS``, whatever the partition count) rides
+on every output row for downstream bucketing/joins.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -51,8 +61,9 @@ from ..stages.dedup import (
     dedup_first_wins,
     drop_dup_losers,
     index_has_ties,
+    require_urls,
 )
-from ..stages.extract import FusedExtractor, extract_batch
+from ..stages.extract import extract_batch
 from ..state.manifest import (
     PartitionManifest,
     completed_partitions,
@@ -61,7 +72,7 @@ from ..state.manifest import (
 )
 
 from ..sources.pages import EXTRACT_COLUMNS as READ_COLUMNS  # noqa: E402
-from ..sources.pages import read_pages  # noqa: E402,F401
+from ..sources.pages import doc_ids, list_shards, read_pages  # noqa: E402
 
 DEFAULT_URL_BUCKETS = 1024  # modulus of the url-hash partition_id COLUMN
 
@@ -69,67 +80,41 @@ DEFAULT_URL_BUCKETS = 1024  # modulus of the url-hash partition_id COLUMN
 def extracted_dataset(
     input_path: str,
     *,
-    n_partitions: int = 1024,  # url-hash bucket modulus (== DEFAULT_URL_BUCKETS)
-    dedup: bool = True,
+    n_partitions: int | None = None,
     batch_size: int = 128,
     concurrency: tuple[int, int] | int | None = None,
-    emit_pages: bool = False,
-    skip_partitions: frozenset[int] | None = None,
     skew_threshold_bytes: int | None = None,
     assign_doc_ids: bool = False,
 ) -> rd.Dataset:
-    """Lazy streaming Dataset of extracted rows (mode=stream core).
-    ``assign_doc_ids``: carry the collision-free read-time
-    ``(shard << 40) | row`` id through extraction (training compositions)."""
-    if os.path.isdir(input_path):
-        from ..sources.pages import list_shards
+    """Lazy Dataset of extracted rows (stream mode): each shard group of
+    ``shard_groups(input_path, n_partitions)`` runs ``iter_partition`` in
+    one Ray Data task and nothing is persisted. ``n_partitions`` counts
+    shard groups, as in ``run_checkpoint``; the default is one group per
+    shard. ``assign_doc_ids``: carry the read-time
+    ``(shard << 40) | row`` id (``sources.pages.doc_ids``) through
+    extraction (training compositions)."""
+    import ray
 
-        if not list_shards(input_path):
-            # fail loud with the same message as checkpoint mode (the
-            # stream path otherwise dies later with an opaque ArrowInvalid)
-            raise ValueError(
-                f"no input parquet shards found under '{input_path}'"
-            )
-    dup_index = build_dup_index(input_path) if dedup else None
-    # equal-timestamp ties need row provenance so the filter can pick the
-    # ONE global winner — (win_file, win_row) is a total order, so the
-    # id-carrying read is required whenever ties exist (FusedExtractor
-    # derives _row_in_file from the read-time id and drops doc_id again
-    # unless the caller asked for it)
-    has_ties = index_has_ties(dup_index)
-    if assign_doc_ids or has_ties:
-        from ..sources.pages import read_pages_with_ids
+    groups = shard_groups(input_path, n_partitions)
+    dup_ref = ray.put(build_dup_index(input_path))  # read zero-copy per task
+    items = [
+        {"files": files, "shard_base": base}
+        for files, base in zip(groups, _group_bases(groups))
+    ]
 
-        ds = read_pages_with_ids(input_path, include_paths=has_ties)
-    else:
-        ds = read_pages(input_path)
-    # ONE fused TASK stage (sniff + dedup-filter + extract): payload blocks
-    # hop the object store exactly once; the staged pipeline measured 2.2x
-    # slower at 32 CPUs (see stages/extract.py FusedExtractor). Tasks, not
-    # an actor pool: Ray Data ships the fused instance once per operator
-    # and caches it per worker process, so kernel/filter state amortizes
-    # identically — and the pool's spin-up + queueing measured ~2x slower
-    # wall time at 32 CPUs on identical interleaved runs (18-46s pool vs
-    # 12-18s tasks), with far higher variance.
-    inst = FusedExtractor(
-        dup_index=dup_index,
-        n_partitions=n_partitions,
-        skip_partitions=skip_partitions,
-        emit_pages=emit_pages,
-        skew_threshold_bytes=skew_threshold_bytes,
-        keep_doc_ids=assign_doc_ids,
-    )
-
-    def fused_stage(batch: pa.Table, _inst=inst) -> pa.Table:
-        return _inst(batch)
+    def run_group(item: pa.Table) -> Iterator[pa.Table]:
+        for _, out in iter_partition(
+            item["files"][0].as_py(),
+            ray.get(dup_ref),
+            shard_base=item["shard_base"][0].as_py() if assign_doc_ids else None,
+            batch_size=batch_size,
+            skew_threshold_bytes=skew_threshold_bytes,
+        ):
+            yield out
 
     kwargs = {} if concurrency is None else {"concurrency": concurrency}
-    return ds.map_batches(
-        fused_stage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        **kwargs,
+    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
+        run_group, batch_format="pyarrow", batch_size=1, num_cpus=1, **kwargs
     )
 
 
@@ -156,18 +141,19 @@ def run_stream(
 
 
 # --------------------------------------------------------------------------
-# checkpoint mode: partition = contiguous shard group, one raw Ray task each
+# the partition body both drivers run
 # --------------------------------------------------------------------------
 
-def shard_groups(input_path: str, n_partitions: int) -> list[list[str]]:
-    """Deterministic contiguous grouping of sorted input shards. Resume
-    requires re-running with the same (input file set, n_partitions)."""
-    from ..sources.pages import list_shards
-
+def shard_groups(
+    input_path: str, n_partitions: int | None = None
+) -> list[list[str]]:
+    """Deterministic contiguous grouping of sorted input shards into at most
+    ``n_partitions`` groups (default: one per shard). Resume requires
+    re-running with the same (input file set, n_partitions)."""
     files = list_shards(input_path)
     if not files:
         raise ValueError(f"no input parquet shards found under {input_path!r}")
-    n = min(n_partitions, len(files))
+    n = min(n_partitions or len(files), len(files))
     base, rem = divmod(len(files), n)
     groups, off = [], 0
     for i in range(n):
@@ -177,22 +163,29 @@ def shard_groups(input_path: str, n_partitions: int) -> list[list[str]]:
     return groups
 
 
+def _group_bases(groups: list[list[str]]) -> list[int]:
+    """Global shard index of each group's first file."""
+    bases, off = [], 0
+    for g in groups:
+        bases.append(off)
+        off += len(g)
+    return bases
+
+
 def _partition_keep_masks(
     files: list[str], dup_index: pa.Table | None
 ) -> tuple[int, int, list]:
     """Keys-only dedup pass over a shard group: read ONLY (url, warc_ts)
-    (~16 B/row — payload bytes stay on disk), apply the exact same global
-    broadcast filter + within-group first-wins as the old whole-group path,
-    and return ``(rows_in, input_fingerprint, per-file boolean keep
-    masks)``. The payload pass then streams row-group batches through the
-    masks, so a partition task's memory is bounded by one parquet row
-    group, not the partition's byte size."""
+    (~16 B/row — payload bytes stay on disk), reject null urls, apply the
+    global broadcast filter + within-group first-wins, and return
+    ``(rows_in, input_fingerprint, per-file boolean keep masks)``."""
     import numpy as np
 
     need_paths = index_has_ties(dup_index)
     tabs = []
     for f in files:
         t = pq.read_table(f, columns=["url", "warc_ts"])
+        require_urls(t, f)
         if need_paths:
             t = t.append_column(
                 "path", pa.array([f] * t.num_rows, pa.string())
@@ -217,42 +210,98 @@ def _partition_keep_masks(
     return rows_in, fp, masks
 
 
+def iter_partition(
+    files: list[str],
+    dup_index: pa.Table | None,
+    *,
+    shard_base: int | None = None,
+    batch_size: int = 256,
+    skew_threshold_bytes: int | None = None,
+    emit_pages: bool = False,
+    stats: dict | None = None,
+) -> Iterator[tuple[pa.Table, pa.Table]]:
+    """The extraction body of both drivers: one shard group in, a stream of
+    ``(pages, extracted)`` batch pairs out — ``pages`` is the sniffed
+    input batch (``url``, ``html``, ...), ``extracted`` its
+    ``extract_batch`` rows.
+
+    Memory model (100 TB posture): dedup is decided in a keys-only pass
+    (``_partition_keep_masks``); payloads then STREAM as parquet row-group
+    batches of ``batch_size`` rows through the keep masks, sniff and
+    extract — the shard group is never materialized, so peak RSS is
+    bounded by one row group × the extraction working set and is
+    independent of partition byte size (tested at 4× group sizes). Rows
+    come out in input order. ``shard_base``: global index of ``files[0]``
+    in the sorted shard list; when given, each row gets the read-time
+    ``doc_id`` (``sources.pages.doc_ids``). A group with no surviving row
+    yields one empty pair with the full schema. ``stats``, when given,
+    receives the keys pass's ``rows_in`` and ``input_fingerprint``."""
+    rows_in, fp, masks = _partition_keep_masks(files, dup_index)
+    if stats is not None:
+        stats.update(rows_in=rows_in, input_fingerprint=fp)
+
+    def extract(t: pa.Table) -> tuple[pa.Table, pa.Table]:
+        t = sniff_and_partition(t, n_partitions=DEFAULT_URL_BUCKETS)
+        out = extract_batch(
+            t, emit_pages=emit_pages, skew_threshold_bytes=skew_threshold_bytes
+        )
+        return t, out
+
+    yielded = False
+    for j, f in enumerate(files):
+        pf = pq.ParquetFile(f)
+        row_off = 0
+        try:
+            for rb in pf.iter_batches(batch_size=batch_size, columns=READ_COLUMNS):
+                t = pa.Table.from_batches([rb])
+                n = t.num_rows
+                if shard_base is not None:
+                    t = t.append_column(
+                        "doc_id", doc_ids(shard_base + j, row_off, n)
+                    )
+                m = masks[j][row_off : row_off + n]
+                row_off += n
+                if not m.any():
+                    continue
+                if not m.all():
+                    t = t.filter(pa.array(m))
+                yielded = True
+                yield extract(t)
+        finally:
+            pf.close()
+    if not yielded:
+        # zero-row partition (all rows were dedup losers, or an empty
+        # shard): one empty pair with the full schema, so the checkpoint
+        # manifest still lands and resume can skip it
+        sch = pq.read_schema(files[0])
+        empty = pa.schema([sch.field(c) for c in READ_COLUMNS]).empty_table()
+        if shard_base is not None:
+            empty = empty.append_column("doc_id", pa.array([], pa.int64()))
+        yield extract(empty)
+
+
 def process_partition(
     pid: int,
     files: list[str],
     output_dir: str,
     dup_index: pa.Table | None,
     *,
-    n_url_buckets: int = DEFAULT_URL_BUCKETS,
     emit_pages: bool = True,
     emit_links: bool = False,
     batch_size: int = 64,
     skew_threshold_bytes: int | None = None,
     shard_base: int | None = None,
 ) -> pa.Table:
-    """One checkpoint partition end-to-end; returns a one-row metrics table
-    (the reference's per-job latency/cost instrumentation,
-    ``backend/src/tasks.py:265-282``). ``shard_base``: global index of
-    ``files[0]`` in the sorted shard list — when given, each row gets the
-    collision-free read-time id ``(shard_index << 40) | row_in_shard``
-    (identical to stream mode's read_pages_with_ids assignment).
-
-    Memory model (100 TB posture): dedup is decided in a keys-only pass
-    (``_partition_keep_masks``); payloads then STREAM as parquet row-group
-    batches through sniff+extract into incremental ParquetWriters inside
-    the atomic temp dir — the task never materializes the shard group, so
-    peak RSS is bounded by one row group × the extraction working set and
-    is independent of partition byte size (tested at 4× group sizes).
-    Output rows land in input order (the old per-partition url sort only
-    served file-layout determinism; input order is equally deterministic —
-    every reader joins or sorts on url anyway)."""
-    import numpy as np
+    """One checkpoint partition end-to-end: ``iter_partition`` drained into
+    incremental ParquetWriters inside the atomic temp dir, then the
+    manifest. Returns a one-row metrics table (the reference's per-job
+    latency/cost instrumentation, ``backend/src/tasks.py:265-282``)."""
     import pyarrow.compute as pc
 
     from ..functions.links import links_batch
 
     t0 = time.perf_counter()
-    rows_in, fp, masks = _partition_keep_masks(files, dup_index)
+    keys: dict = {}
     counts = {"ok": 0, "empty": 0, "error": 0, "unknown": 0}
     totals = {"rows_out": 0, "bytes_in": 0}
 
@@ -287,15 +336,17 @@ def process_partition(
             ):
                 flush(name)
 
-        def handle(t: pa.Table) -> None:
+        for pages, out in iter_partition(
+            files,
+            dup_index,
+            shard_base=shard_base,
+            batch_size=batch_size,
+            skew_threshold_bytes=skew_threshold_bytes,
+            emit_pages=emit_pages,
+            stats=keys,
+        ):
             totals["bytes_in"] += int(
-                pc.sum(pc.binary_length(t["html"])).as_py() or 0
-            )
-            t = sniff_and_partition(t, n_partitions=n_url_buckets)
-            out = extract_batch(
-                t,
-                emit_pages=emit_pages,
-                skew_threshold_bytes=skew_threshold_bytes,
+                pc.sum(pc.binary_length(pages["html"])).as_py() or 0
             )
             totals["rows_out"] += out.num_rows
             for sv in pc.value_counts(out["status"]):
@@ -313,41 +364,7 @@ def process_partition(
             if emit_links:
                 # second product off the same payload pass (WAT-file
                 # analog): per-page ordered anchors, shared scanner
-                emit("links", links_batch(t.select(["url", "html"])))
-
-        for j, f in enumerate(files):
-            pf = pq.ParquetFile(f)
-            row_off = 0
-            try:
-                for rb in pf.iter_batches(
-                    batch_size=batch_size, columns=READ_COLUMNS
-                ):
-                    t = pa.Table.from_batches([rb])
-                    n = t.num_rows
-                    if shard_base is not None:
-                        ids = ((shard_base + j) << 40) + row_off + np.arange(
-                            n, dtype=np.int64
-                        )
-                        t = t.append_column("doc_id", pa.array(ids, pa.int64()))
-                    m = masks[j][row_off : row_off + n]
-                    row_off += n
-                    if not m.any():
-                        continue
-                    if not m.all():
-                        t = t.filter(pa.array(m))
-                    handle(t)
-            finally:
-                pf.close()
-
-        if not writers and not buf:
-            # zero-row partition (all rows were dedup losers, or an empty
-            # shard): emit empty tables with the full schema so the
-            # manifest still lands and resume can skip it
-            sch = pq.read_schema(files[0])
-            empty = pa.schema([sch.field(c) for c in READ_COLUMNS]).empty_table()
-            if shard_base is not None:
-                empty = empty.append_column("doc_id", pa.array([], pa.int64()))
-            handle(empty)
+                emit("links", links_batch(pages.select(["url", "html"])))
 
         for name in list(buf):
             flush(name)
@@ -355,7 +372,7 @@ def process_partition(
             w.close()
         return PartitionManifest(
             partition_id=pid,
-            rows_in=rows_in,
+            rows_in=keys["rows_in"],
             rows_out=totals["rows_out"],
             n_ok=counts["ok"],
             n_empty=counts["empty"],
@@ -364,7 +381,7 @@ def process_partition(
             n_other=totals["rows_out"] - sum(counts.values()),
             bytes_in=totals["bytes_in"],
             wall_s=round(time.perf_counter() - t0, 4),
-            input_fingerprint=fp,
+            input_fingerprint=keys["input_fingerprint"],
             files=list(files),
             file_sizes=[os.path.getsize(f) for f in files],
         )
@@ -431,7 +448,6 @@ def run_checkpoint(
     resume: bool = True,
     emit_pages: bool = True,
     emit_links: bool = False,
-    dedup: bool = True,
     skew_threshold_bytes: int | None = None,
     assign_doc_ids: bool = False,
     batch_size: int = 256,
@@ -466,17 +482,15 @@ def run_checkpoint(
         # surface as an opaque KeyError deep in the packing exchange —
         # validate the finished partitions' schema up front (footer-only
         # read) and fail actionably
-        import pyarrow.parquet as _pq
-
         for pid in skip:
             p = os.path.join(output_dir, f"part-{pid}", "extracted.parquet")
-            if "doc_id" not in _pq.read_schema(p).names:
+            if "doc_id" not in pq.read_schema(p).names:
                 raise ValueError(
                     f"stale checkpoint: {p} has no 'doc_id' column (written "
                     "by a run without assign_doc_ids); delete the workdir "
                     "or re-run with resume=False to re-extract"
                 )
-    dup_index = build_dup_index(input_path) if dedup else None
+    dup_index = build_dup_index(input_path)
     dup_ref = ray.put(dup_index)  # broadcast once, read zero-copy per task
     # infra-level retry budget from the engine's declared config (reference
     # per-extractor {max_retries, countdown}, constants.py:72-95 applied at
@@ -489,11 +503,7 @@ def run_checkpoint(
     worker = ray.remote(
         num_cpus=1, max_retries=budget, retry_exceptions=False
     )(process_partition)
-    bases: list[int] = []
-    off = 0
-    for g in groups:  # global shard index of each group's first file
-        bases.append(off)
-        off += len(g)
+    bases = _group_bases(groups)
     futures = [
         worker.remote(
             pid, files, output_dir, dup_ref, emit_pages=emit_pages,

@@ -160,6 +160,20 @@ def pdf_tables(sf_dir: str) -> rd.Dataset:
     return ds.map_batches(_docs_to_pdf_tables, batch_format="pyarrow")
 
 
+def _ok_docs(batch: pa.Table) -> pa.Table:
+    """Extracted rows -> the (doc_id, text) curation input: ``ok`` rows
+    only, read-time doc ids."""
+    import pyarrow.compute as pc
+
+    ok = batch.filter(pc.equal(batch["status"], "ok"))
+    return pa.table(
+        {
+            "doc_id": ok["doc_id"],
+            "text": pc.cast(ok["extracted_text"], pa.string()),
+        }
+    )
+
+
 def web_to_training(sf_dir: str, *, budget: int = 512) -> rd.Dataset:
     """The END-TO-END composition the engine exists for: web pages ->
     sniff -> extract -> quality gate -> exact dedup -> deterministic
@@ -204,16 +218,13 @@ def corpus_to_training(input_path: str, *, budget: int = 512) -> rd.Dataset:
     streaming extractor (sniff -> dedup filter -> extract) feeds the
     curation/packing exchange directly. Doc ids are the collision-free
     read-time ids ``(input_shard << 40) | row_in_shard``
-    (sources/pages.read_pages_with_ids) carried through extraction — no
+    (sources/pages.doc_ids) carried through extraction — no
     birthday bound at any corpus size, no per-row hashing anywhere in the
     composition; output rows join back to (shard, row) positions, and
     checkpointed_training assigns the identical ids so the two modes stay
     row-identical."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     from ..functions.textops import prepare_training_ds
-    from ..sources.pages import list_shards
+    from ..sources.pages import count_rows
     from .extract import extracted_dataset
 
     import ray
@@ -221,23 +232,13 @@ def corpus_to_training(input_path: str, *, budget: int = 512) -> rd.Dataset:
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     extracted = extracted_dataset(
         input_path,
-        n_partitions=max(64, 4 * cpus),
         batch_size=128,
         concurrency=max(2, cpus - 2),
         assign_doc_ids=True,
     )
 
-    def to_docs(batch: pa.Table) -> pa.Table:
-        ok = batch.filter(pc.equal(batch["status"], "ok"))
-        return pa.table(
-            {
-                "doc_id": ok["doc_id"],
-                "text": pc.cast(ok["extracted_text"], pa.string()),
-            }
-        )
-
-    docs = extracted.map_batches(to_docs, batch_format="pyarrow")
-    n_rows = sum(pq.read_metadata(f).num_rows for f in list_shards(input_path))
+    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
+    n_rows = count_rows(input_path)
     return prepare_training_ds(docs, n_rows, budget=budget)
 
 
@@ -250,8 +251,6 @@ def warc_to_training(warc_dir: str, *, budget: int = 512) -> rd.Dataset:
     written one-archive-per-parquet-shard in row order packs
     ROW-IDENTICALLY to ``corpus_to_training`` over the parquet original
     (test-pinned)."""
-    import pyarrow.compute as pc
-
     from ..functions.agg import instance_stage
     from ..functions.textops import prepare_training_ds
     from ..sources.warc import read_pages_warc
@@ -264,16 +263,7 @@ def warc_to_training(warc_dir: str, *, budget: int = 512) -> rd.Dataset:
         pages, DocumentExtractor, batch_size=64, emit_pages=False
     )
 
-    def to_docs(batch: pa.Table) -> pa.Table:
-        ok = batch.filter(pc.equal(batch["status"], "ok"))
-        return pa.table(
-            {
-                "doc_id": ok["doc_id"],
-                "text": pc.cast(ok["extracted_text"], pa.string()),
-            }
-        )
-
-    docs = extracted.map_batches(to_docs, batch_format="pyarrow")
+    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
     n_rows = pages.count()
     return prepare_training_ds(docs, n_rows, budget=budget)
 
@@ -339,6 +329,21 @@ def _segments_table(
     )
 
 
+def _winner_segments(ids, starts, docs: pa.Table, budget: int) -> pa.Table:
+    """``_segments_table`` of the ``docs`` rows (doc_id, text) whose doc_id
+    is a winner: ``ids`` is the sorted winner doc_id array and ``starts``
+    its aligned global token offsets, probed by searchsorted."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    did = pc.cast(docs["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(ids, did), max(len(ids) - 1, 0))
+    hit = (ids[pos] == did) if len(ids) else np.zeros(len(did), bool)
+    kept = docs.filter(pa.array(hit))  # winners only
+    win_starts = starts[pos[hit]] if len(ids) else np.empty(0, np.int64)
+    return _segments_table(kept["text"], win_starts, budget)
+
+
 def write_training_shards(
     input_path: str,
     workdir: str,
@@ -368,13 +373,12 @@ def write_training_shards(
     summary table (n_seqs, n_tokens)."""
     import numpy as np
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     import ray
 
     from ..functions.agg import collect, scaled_partitions, tag_partition
     from ..functions.textops import prepare_training_ds
-    from ..sources.pages import list_shards
+    from ..sources.pages import count_rows
     from .extract import read_extracted, run_checkpoint
 
     run_checkpoint(
@@ -386,17 +390,8 @@ def write_training_shards(
         assign_doc_ids=True,
     )
 
-    def to_docs(batch: pa.Table) -> pa.Table:
-        ok = batch.filter(pc.equal(batch["status"], "ok"))
-        return pa.table(
-            {
-                "doc_id": ok["doc_id"],
-                "text": pc.cast(ok["extracted_text"], pa.string()),
-            }
-        )
-
-    docs = read_extracted(workdir).map_batches(to_docs, batch_format="pyarrow")
-    n_rows = sum(pq.read_metadata(f).num_rows for f in list_shards(input_path))
+    docs = read_extracted(workdir).map_batches(_ok_docs, batch_format="pyarrow")
+    n_rows = count_rows(input_path)
     # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
     # tok_start) int64 pair per WINNER doc — 16 B/row, so ~1.6 TB of
     # distributed, spillable object-store residency at 10^11 docs (Ray
@@ -425,14 +420,7 @@ def write_training_shards(
 
         def segments(batch: pa.Table) -> pa.Table:
             ids_b, starts_b = ray.get(ref)
-            did = pc.cast(batch["doc_id"], pa.int64()).to_numpy(
-                zero_copy_only=False
-            )
-            pos = np.minimum(np.searchsorted(ids_b, did), max(len(ids_b) - 1, 0))
-            hit = (ids_b[pos] == did) if len(ids_b) else np.zeros(len(did), bool)
-            kept = batch.filter(pa.array(hit))  # winners only
-            starts = starts_b[pos[hit]] if len(ids_b) else np.empty(0, np.int64)
-            return _segments_table(kept["text"], starts, budget)
+            return _winner_segments(ids_b, starts_b, batch, budget)
 
         seg_ds = docs.map_batches(segments, batch_format="pyarrow")
     else:
@@ -478,15 +466,12 @@ def write_training_shards(
             m = group.filter(pc.equal(group["kind"], 0)).sort_by(
                 [("doc_id", "ascending")]
             )
-            d = group.filter(pc.equal(group["kind"], 1))
-            ids_b = m["doc_id"].to_numpy(zero_copy_only=False)
-            starts_b = m["tok_start"].to_numpy(zero_copy_only=False)
-            did = d["doc_id"].to_numpy(zero_copy_only=False)
-            pos = np.minimum(np.searchsorted(ids_b, did), max(len(ids_b) - 1, 0))
-            hit = (ids_b[pos] == did) if len(ids_b) else np.zeros(len(did), bool)
-            kept = d.filter(pa.array(hit))
-            starts = starts_b[pos[hit]] if len(ids_b) else np.empty(0, np.int64)
-            return _segments_table(kept["text"], starts, budget)
+            return _winner_segments(
+                m["doc_id"].to_numpy(zero_copy_only=False),
+                m["tok_start"].to_numpy(zero_copy_only=False),
+                group.filter(pc.equal(group["kind"], 1)),
+                budget,
+            )
 
         seg_ds = tagged.groupby("__pp").map_groups(
             join_segments, batch_format="pyarrow"
@@ -571,11 +556,8 @@ def checkpointed_training(
     Output is identical to corpus_to_training over the same corpus (the
     two extraction modes are golden-equivalent and packing depends only
     on the (doc_id, text) set)."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     from ..functions.textops import prepare_training_ds
-    from ..sources.pages import list_shards
+    from ..sources.pages import count_rows
     from .extract import read_extracted, run_checkpoint
 
     run_checkpoint(
@@ -588,15 +570,6 @@ def checkpointed_training(
     )
     extracted = read_extracted(workdir)
 
-    def to_docs(batch: pa.Table) -> pa.Table:
-        ok = batch.filter(pc.equal(batch["status"], "ok"))
-        return pa.table(
-            {
-                "doc_id": ok["doc_id"],
-                "text": pc.cast(ok["extracted_text"], pa.string()),
-            }
-        )
-
-    docs = extracted.map_batches(to_docs, batch_format="pyarrow")
-    n_rows = sum(pq.read_metadata(f).num_rows for f in list_shards(input_path))
+    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
+    n_rows = count_rows(input_path)
     return prepare_training_ds(docs, n_rows, budget=budget)

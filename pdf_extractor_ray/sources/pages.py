@@ -37,18 +37,9 @@ PAGES_SCHEMA = pa.schema(
 EXTRACT_COLUMNS = ["url", "warc_ts", "html", "lang"]
 
 
-def read_pages(
-    input_path: str,
-    columns: list[str] | None = None,
-    *,
-    include_paths: bool = False,
-) -> rd.Dataset:
-    """Column-pruned read; default drops the carried-through WET ``text``.
-    ``include_paths`` adds the source shard as a ``path`` column (needed
-    only when the dup index contains equal-timestamp ties)."""
-    return rd.read_parquet(
-        input_path, columns=columns or EXTRACT_COLUMNS, include_paths=include_paths
-    )
+def read_pages(input_path: str, columns: list[str] | None = None) -> rd.Dataset:
+    """Column-pruned read; default drops the carried-through WET ``text``."""
+    return rd.read_parquet(input_path, columns=columns or EXTRACT_COLUMNS)
 
 
 def read_pages_filtered(
@@ -76,36 +67,44 @@ def read_pages_filtered(
 _SHARD_ID_BITS = 40  # rows-per-shard budget: 2^40 ≈ 1.1e12 rows/shard
 
 
+def doc_ids(shard: int, row_off: int, n: int) -> pa.Array:
+    """The COLLISION-FREE read-time doc ids ``(shard << 40) | row`` of rows
+    ``row_off .. row_off + n`` of input shard ``shard`` (shard index over
+    the canonical sorted shard list, row index in file order). The one
+    place the layout lives: parquet reads, checkpoint partitions and WARC
+    archives all call it, so the ids agree across sources and modes.
+    Raises when the shard index or a row falls outside the 63-bit layout."""
+    import numpy as np
+
+    if not 0 <= shard < (1 << (63 - _SHARD_ID_BITS)):
+        raise ValueError(f"shard index {shard} is outside the doc-id layout")
+    if row_off + n > (1 << _SHARD_ID_BITS):
+        raise ValueError(f"shard {shard} exceeds 2^{_SHARD_ID_BITS} rows")
+    return pa.array(
+        (shard << _SHARD_ID_BITS) + row_off + np.arange(n, dtype=np.int64),
+        pa.int64(),
+    )
+
+
 def read_pages_with_ids(
-    input_path: str,
-    columns: list[str] | None = None,
-    *,
-    include_paths: bool = False,
+    input_path: str, columns: list[str] | None = None
 ) -> rd.Dataset:
-    """Column-pruned read that assigns the COLLISION-FREE read-time doc id
-    ``doc_id = (shard_index << 40) | row_in_shard`` — shard index over the
-    canonical sorted shard list, row index in file order. Deterministic
-    across runs and across execution modes (stream vs checkpoint both see
-    sorted shards read in file order), collision-free by construction at
-    any corpus size (no birthday bound — cf. the retired 60-bit md5(url)
-    scheme), and assigned at the scan so no downstream stage ever hashes a
-    string to identify a row.
+    """Column-pruned read that adds the read-time ``doc_id`` (``doc_ids``)
+    and the source shard as a ``path`` column — the row provenance the
+    dup index's tie pass needs. Deterministic across runs, collision-free
+    by construction at any corpus size (no birthday bound), and assigned
+    at the scan so no downstream stage ever hashes a string to identify
+    a row.
 
     Shape: shard metadata fans out as (shard, row-group) descriptors; each
     task reads its row groups with pruned columns — the same
     one-task-per-row-group-range parallelism ``read_parquet`` plans, plus
-    the id column."""
-    import numpy as np
+    the id and path columns."""
     import pyarrow.parquet as pq
 
-    shards = list_shards(input_path)
-    if len(shards) >= (1 << (63 - _SHARD_ID_BITS)):
-        raise ValueError(f"too many shards for the id scheme: {len(shards)}")
     items = []
-    for si, path in enumerate(shards):
+    for si, path in enumerate(list_shards(input_path)):
         md = pq.read_metadata(path)
-        if md.num_rows >= (1 << _SHARD_ID_BITS):
-            raise ValueError(f"shard {path} exceeds 2^40 rows")
         off = 0
         for rg in range(md.num_row_groups):
             items.append(
@@ -125,14 +124,10 @@ def read_pages_with_ids(
             batch["row_off"].to_pylist(),
         ):
             t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
-            ids = (shard << _SHARD_ID_BITS) + row_off + np.arange(
-                t.num_rows, dtype=np.int64
+            t = t.append_column("doc_id", doc_ids(shard, row_off, t.num_rows))
+            t = t.append_column(
+                "path", pa.array([path] * t.num_rows, pa.string())
             )
-            t = t.append_column("doc_id", pa.array(ids, pa.int64()))
-            if include_paths:
-                t = t.append_column(
-                    "path", pa.array([path] * t.num_rows, pa.string())
-                )
             tabs.append(t)
         return pa.concat_tables(tabs)
 
@@ -152,3 +147,10 @@ def list_shards(input_path: str) -> list[str]:
     if _os.path.isdir(input_path):
         return sorted(_glob.glob(_os.path.join(input_path, "*.parquet")))
     return [input_path]
+
+
+def count_rows(input_path: str) -> int:
+    """Total rows of the ``list_shards`` file set, from parquet footers."""
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows for f in list_shards(input_path))

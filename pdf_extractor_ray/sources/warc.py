@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..corpus import PAGES_SCHEMA
+from .pages import doc_ids
 
 _HDR_SPLIT = b"\r\n\r\n"
 # horizontal whitespace ONLY around header values: \s would cross the
@@ -137,8 +138,8 @@ def read_pages_warc(
     nulls — exactly like a parquet corpus with null columns.
     ``assign_doc_ids``: add the collision-free read-time id
     ``doc_id = (archive_index << 40) | record_index`` (archive index over
-    the sorted file list — the exact WARC analog of
-    ``pages.read_pages_with_ids``'s shard/row scheme)."""
+    the sorted file list — ``pages.doc_ids``, the layout parquet shards
+    use, with an archive standing for a shard and a record for a row)."""
     paths = sorted(glob(f"{input_path}/*.warc*")) or [input_path]
     file_idx = {p: i for i, p in enumerate(paths)}
 
@@ -146,7 +147,7 @@ def read_pages_warc(
         urls: list[str] = []
         tss: list[int | None] = []
         htmls: list[bytes] = []
-        ids: list[int] = []
+        ids: list[pa.Array] = []
         for path, data in zip(
             batch["path"].to_pylist(), batch["bytes"].to_pylist()
         ):
@@ -159,12 +160,13 @@ def read_pages_warc(
                     data = _gunzip_members(data)
                 except zlib.error:
                     continue  # malformed archive: skip file, keep batch
-            base = file_idx.get(path, 0) << 40
-            for rec_i, (url, ts, html) in enumerate(_parse_warc(data)):
+            records = _parse_warc(data)
+            for url, ts, html in records:
                 urls.append(url)
                 tss.append(ts)
                 htmls.append(html)
-                ids.append(base | rec_i)
+            if assign_doc_ids:
+                ids.append(doc_ids(file_idx.get(path, 0), 0, len(records)))
         cols = {
             "url": pa.array(urls, pa.string()),
             "warc_ts": pa.array(tss, pa.timestamp("us", tz="UTC")),
@@ -173,7 +175,7 @@ def read_pages_warc(
             "lang": pa.nulls(len(urls), pa.string()),
         }
         if assign_doc_ids:
-            cols["doc_id"] = pa.array(ids, pa.int64())
+            cols["doc_id"] = pa.concat_arrays(ids or [pa.array([], pa.int64())])
         return pa.table(cols)
 
     return rd.read_binary_files(paths, include_paths=True).map_batches(

@@ -14,9 +14,9 @@ measured locally it dominated the whole pipeline). Instead:
 2. **Dup index**: per-batch partial (url -> count, min_ts), combined into
    the set of *duplicated* urls and each one's winning warc_ts. With a
    realistic ~1% duplicate rate this index is tiny relative to the corpus.
-3. **Broadcast filter**: the index rides into ``map_batches`` once (Ray
-   ships the closure/object to each worker once, not per batch); every
-   batch drops its losers vectorized.
+3. **Broadcast filter**: the index is ``ray.put`` once and read by every
+   partition task, whose keys pass drops its losers vectorized before any
+   payload byte is read.
 
 The payload-bearing pipeline therefore stays shuffle-free end-to-end.
 Assumption (documented, asserted): duplicated-url index fits in worker
@@ -34,8 +34,12 @@ row) and ``win_row`` (lowest row-in-file among min-ts rows in that shard).
 exactly one row per url no matter how ties split across batches, shards,
 or partitions — including equal-(url, ts) rows stored twice inside ONE
 file (the pre-round-4 residual). Callers provide provenance as a ``path``
-column plus a ``_row_in_file`` column (stream mode derives it from the
-read-time ``doc_id``; checkpoint tasks from the keys-pass row index).
+column plus a ``_row_in_file`` column (the partition keys pass,
+``pipelines.extract._partition_keep_masks``, adds both).
+
+Null urls are rejected (``require_urls``) in every keys scan: a row with no
+url has no place in a one-row-per-url contract, so it is malformed input,
+not a row to drop silently.
 """
 
 from __future__ import annotations
@@ -64,6 +68,16 @@ def dedup_first_wins(group: pa.Table) -> pa.Table:
     return t.filter(first)
 
 
+def require_urls(keys: pa.Table, path: str) -> None:
+    """Raise ``ValueError`` naming shard ``path`` when ``keys`` holds a null
+    url."""
+    if keys["url"].null_count:
+        raise ValueError(
+            f"input shard {path!r} has {keys['url'].null_count} row(s) with "
+            "a null url; every page needs a url"
+        )
+
+
 def _key_partial(batch: pa.Table) -> pa.Table:
     """Per-batch (url -> min_ts_us, count) partial. min_ts rides as int64
     microseconds: Ray's native Min aggregate degrades timestamp[us, UTC]
@@ -81,12 +95,6 @@ def _key_partial(batch: pa.Table) -> pa.Table:
 
 
 _DRIVER_KEY_ROWS = 20_000_000  # keys below this: one multithreaded arrow read
-
-
-def _total_rows(files: list[str]) -> int:
-    import pyarrow.parquet as pq
-
-    return sum(pq.read_metadata(f).num_rows for f in files)
 
 
 def _tie_columns(
@@ -138,15 +146,16 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     """
     import pyarrow.parquet as pq
 
-    from ..sources.pages import list_shards
+    from ..sources.pages import count_rows, list_shards
 
     files = list_shards(input_path)
-    if _total_rows(files) <= _DRIVER_KEY_ROWS:
+    if count_rows(input_path) <= _DRIVER_KEY_ROWS:
         # read the exact counted file set (a directory read could include
         # nested/non-shard files the count did not)
         tabs = []
         for fidx, f in enumerate(files):
             t = pq.read_table(f, columns=["url", "warc_ts"])
+            require_urls(t, f)
             # 4-byte shard index + 8-byte row-in-file per row (full path
             # strings materialize only for the tiny duplicated-at-min
             # subset below); row-in-file makes the tie winner a TOTAL
@@ -228,9 +237,8 @@ def build_dup_index(input_path: str) -> pa.Table | None:
             "row", pc.bit_wise_and(b["doc_id"], row_mask)
         ).drop_columns(["doc_id"])
 
-    prov = read_pages_with_ids(
-        input_path, columns=["url", "warc_ts"], include_paths=True
-    ).map_batches(_dup_rows, batch_format="pyarrow")
+    prov = read_pages_with_ids(input_path, columns=["url", "warc_ts"])
+    prov = prov.map_batches(_dup_rows, batch_format="pyarrow")
     prov_tables = [t for t in ray.get(prov.to_arrow_refs()) if t.num_rows]
     rows = pa.concat_tables(prov_tables).combine_chunks()
     ridx = pc.index_in(rows["url"], value_set=dup_urls)
@@ -362,6 +370,6 @@ def index_has_ties(dup_index: pa.Table | None) -> bool:
 
 
 def drop_dup_losers(batch: pa.Table, *, dup_index: pa.Table) -> pa.Table:
-    """One-shot convenience wrapper over DupFilter (checkpoint tasks call
-    this once per partition group)."""
+    """One-shot convenience wrapper over DupFilter (each partition's keys
+    pass calls this once)."""
     return DupFilter(dup_index)(batch)

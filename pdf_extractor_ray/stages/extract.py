@@ -184,73 +184,6 @@ class _Breaker:
             self.skipped = 0
 
 
-class FusedExtractor:
-    """Single-stage stream pipeline body: sniff + broadcast-dedup + extract
-    in ONE actor-pool ``map_batches``. Payload blocks make exactly one hop
-    (read task -> actor); the staged variant (separate sniff/filter/extract
-    operators) measured 2.2x slower at 32 CPUs because every intermediate
-    block round-trips the object store."""
-
-    def __init__(
-        self,
-        dup_index=None,
-        n_partitions: int = 32,
-        skip_partitions: frozenset[int] | None = None,
-        emit_pages: bool = False,
-        breaker_threshold: int = 0,
-        skew_threshold_bytes: int | None = None,
-        keep_doc_ids: bool = True,
-    ):
-        from .sniff import sniff_and_partition
-        from .dedup import DupFilter
-
-        # warm the kernel tables wherever __init__ runs: per actor in pool
-        # mode, on the driver when the instance ships as a task transform
-        # (workers then compile lazily on their first batch)
-        extract_document(b"")
-        self._sniff = sniff_and_partition
-        # winner dict built once per actor, not per batch
-        self._dup_filter = DupFilter(dup_index) if dup_index is not None else None
-        self.n_partitions = n_partitions
-        self.skip_partitions = skip_partitions
-        self.emit_pages = emit_pages
-        self.breaker = _Breaker(breaker_threshold) if breaker_threshold else None
-        self.skew_threshold_bytes = skew_threshold_bytes
-        self.keep_doc_ids = keep_doc_ids
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        b = self._sniff(
-            batch,
-            n_partitions=self.n_partitions,
-            skip_partitions=self.skip_partitions,
-        )
-        if self._dup_filter is not None:
-            if (
-                self._dup_filter.has_ties
-                and "doc_id" in b.column_names
-                and "_row_in_file" not in b.column_names
-            ):
-                # low bits of the read-time (shard << 40 | row) id = the
-                # row-in-file the total tie order needs
-                from ..sources.pages import _SHARD_ID_BITS
-
-                b = b.append_column(
-                    "_row_in_file",
-                    pc.bit_wise_and(b["doc_id"], (1 << _SHARD_ID_BITS) - 1),
-                )
-            b = self._dup_filter(b)
-        if not self.keep_doc_ids and "doc_id" in b.column_names:
-            b = b.drop_columns(["doc_id"])
-        return extract_batch(
-            b,
-            emit_pages=self.emit_pages,
-            breaker=self.breaker,
-            skew_threshold_bytes=self.skew_threshold_bytes,
-        )
-
-
 class DocumentExtractor:
     """Actor-pool stage: ``ds.map_batches(DocumentExtractor, concurrency=N,
     batch_size=B, batch_format="pyarrow")``. State (dispatcher + breaker) is

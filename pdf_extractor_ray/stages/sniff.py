@@ -84,19 +84,9 @@ def sniff_table(batch: pa.Table) -> pa.Array:
     return pa.array(ctypes, pa.string())
 
 
-def sniff_and_partition(
-    batch: pa.Table,
-    *,
-    n_partitions: int = 32,
-    skip_partitions: frozenset[int] | None = None,
-) -> pa.Table:
-    """Add ``content_type`` + ``partition_id`` columns; optionally drop rows
-    belonging to already-completed partitions (resume fast path — filtered
-    at the scan so completed partitions never move)."""
+def sniff_and_partition(batch: pa.Table, *, n_partitions: int = 32) -> pa.Table:
+    """Add ``content_type`` + ``partition_id`` columns."""
     out = batch.append_column("content_type", sniff_table(batch))
-    pids = url_partition_ids(batch["url"], n_partitions)
-    out = out.append_column("partition_id", pids)
-    if skip_partitions:
-        mask = pa.array([p not in skip_partitions for p in pids.to_pylist()])
-        out = out.filter(mask)
-    return out
+    return out.append_column(
+        "partition_id", url_partition_ids(batch["url"], n_partitions)
+    )

@@ -66,25 +66,24 @@ def test_pages_jsonl_roundtrip_through_extraction(ray_session, tmp_path):
         == want["warc_ts"].astype("datetime64[us, UTC]")
     ).all()
 
-    # run the SAME fused extraction stage over both sources: text must be
-    # byte-identical per url regardless of the wire format
-    from pdf_extractor_ray.stages.extract import FusedExtractor
+    # run the SAME sniff -> extract stages over both sources (the
+    # composition warc_to_training uses): text must be byte-identical per
+    # url regardless of the wire format
+    from pdf_extractor_ray.functions.agg import instance_stage
+    from pdf_extractor_ray.stages.extract import DocumentExtractor
+    from pdf_extractor_ray.stages.sniff import sniff_and_partition
 
-    inst = FusedExtractor(dup_index=None, n_partitions=16)
-    jl_ext = (
-        read_pages_jsonl(str(jl_dir))
-        .map_batches(lambda b: inst(b), batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    pq_ext = (
-        read_pages(str(pages_dir))
-        .map_batches(lambda b: inst(b), batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
+    def extract(pages):
+        sniffed = pages.map_batches(sniff_and_partition, batch_format="pyarrow")
+        return (
+            instance_stage(sniffed, DocumentExtractor, emit_pages=False)
+            .to_pandas()
+            .sort_values("url")
+            .reset_index(drop=True)
+        )
+
+    jl_ext = extract(read_pages_jsonl(str(jl_dir)))
+    pq_ext = extract(read_pages(str(pages_dir)))
     assert (jl_ext["url"] == pq_ext["url"]).all()
     assert (jl_ext["extracted_text"] == pq_ext["extracted_text"]).all()
     assert (jl_ext["status"] == pq_ext["status"]).all()

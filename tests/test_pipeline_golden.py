@@ -98,21 +98,35 @@ def test_duplicate_urls_collapse(ray_session, small_corpus):
     assert set(urls) == set(raw_urls)
 
 
-def test_stream_and_checkpoint_modes_agree(ray_session, small_corpus, tmp_path):
-    """The two physical modes are different executions of the same logical
-    pipeline — their outputs must match row for row."""
+def _assert_modes_agree(corpus: str, out: str, assign_doc_ids: bool) -> None:
+    """The two drivers run the same partition body — their outputs must
+    match row for row in every column but the wall-clock ``latency_ms``,
+    ``partition_id`` and (with ``assign_doc_ids``) ``doc_id`` included,
+    whatever partition count each uses."""
     from pdf_extractor_ray.pipelines.extract import extracted_dataset, read_extracted, run_checkpoint
 
-    out = str(tmp_path / "ck")
-    run_checkpoint(small_corpus["corpus"], out, n_partitions=4, resume=False)
+    run_checkpoint(
+        corpus, out, n_partitions=4, resume=False, assign_doc_ids=assign_doc_ids
+    )
     ck = _collect(read_extracted(out)).sort_by("url")
-
     st = _collect(
-        extracted_dataset(small_corpus["corpus"], n_partitions=8, concurrency=2)
+        extracted_dataset(
+            corpus, n_partitions=8, concurrency=2, assign_doc_ids=assign_doc_ids
+        )
     ).sort_by("url")
 
-    assert st["url"].to_pylist() == ck["url"].to_pylist()
-    assert st["extracted_text"].to_pylist() == ck["extracted_text"].to_pylist()
-    assert st["spans"].to_pylist() == ck["spans"].to_pylist()
-    assert st["status"].to_pylist() == ck["status"].to_pylist()
-    assert st["n_pages"].to_pylist() == ck["n_pages"].to_pylist()
+    cols = sorted(set(ck.column_names) - {"latency_ms"})
+    assert sorted(set(st.column_names) - {"latency_ms"}) == cols
+    assert ("doc_id" in cols) == assign_doc_ids
+    for col in cols:
+        assert st[col].to_pylist() == ck[col].to_pylist(), col
+
+
+def test_stream_and_checkpoint_modes_agree(ray_session, small_corpus, tmp_path):
+    _assert_modes_agree(small_corpus["corpus"], str(tmp_path / "ck"), False)
+
+
+def test_stream_and_checkpoint_modes_agree_doc_ids(
+    ray_session, small_corpus, tmp_path
+):
+    _assert_modes_agree(small_corpus["corpus"], str(tmp_path / "ck"), True)

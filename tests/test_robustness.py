@@ -355,3 +355,51 @@ def test_sim_latency_deterministic_and_schema_stable():
     plain = cls(fake=True)(batch)
     assert "sim_wait_ms" not in plain.column_names
     assert plain["status"].to_pylist() == ["ok"] * 64
+
+
+def test_null_url_rejected_by_both_drivers(ray_session, tmp_path):
+    """A page with no url is malformed input to the one-row-per-url
+    contract: the checkpoint driver, the stream driver, the partition
+    body's own keys pass and the oracle all refuse it with a ValueError
+    (the drivers' naming the shard) instead of dropping it or failing
+    deep in a kernel."""
+    import re
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from pdf_extractor_ray.oracle import oracle_extract_tables
+    from pdf_extractor_ray.pipelines.extract import (
+        extracted_dataset,
+        process_partition,
+        run_checkpoint,
+    )
+    from pdf_extractor_ray.sources.pages import PAGES_SCHEMA
+
+    n = 4
+    pages = pa.table(
+        {
+            "url": ["https://a.test/", None, "https://b.test/", None],
+            "warc_ts": pa.array(list(range(n)), pa.int64()).cast(
+                pa.timestamp("us", tz="UTC")
+            ),
+            "html": [b"<html><body><p>page</p></body></html>"] * n,
+            "text": [None] * n,
+            "lang": ["en"] * n,
+        },
+        schema=PAGES_SCHEMA,
+    )
+    src = tmp_path / "pages"
+    src.mkdir()
+    shard = str(src / "shard-00000.parquet")
+    pq.write_table(pages, shard)
+    named = re.escape(shard)
+
+    with pytest.raises(ValueError, match=named):
+        run_checkpoint(str(src), str(tmp_path / "ck"), resume=False)
+    with pytest.raises(ValueError, match=named):
+        extracted_dataset(str(src)).materialize()
+    with pytest.raises(ValueError, match=named):
+        process_partition(0, [shard], str(tmp_path / "part"), None)
+    with pytest.raises(ValueError, match="null url"):
+        oracle_extract_tables(pages)
