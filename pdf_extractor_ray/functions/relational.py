@@ -2572,7 +2572,7 @@ def trade_degree_hist(
     suppliers at quantity >= min_qty.
 
     Two plans, chosen by the measured size of the FILTERED lineitem side
-    (one streaming count pass):
+    (one materialized pass, which both plans then read):
 
     - broadcast (<= broadcast_rows_limit filtered rows — the qty>=50
       filter is highly selective, ~2% of lineitem): the filtered
@@ -2642,12 +2642,14 @@ def trade_degree_hist(
             }
         )
 
-    hi_ds = lineitem.map_batches(hi_pairs, batch_format="pyarrow")
+    # one scan of lineitem: the filtered pairs are materialized, counted
+    # from block metadata, and read by whichever plan the count picks
+    hi_ds = lineitem.map_batches(hi_pairs, batch_format="pyarrow").materialize()
     n_hi = hi_ds.count()
     if n_hi <= broadcast_rows_limit:
         import ray
 
-        ht = collect(hi_ds)  # lazy plan re-executes; rows bounded by the limit
+        ht = collect(hi_ds)
         if ht is None:
             return finish(None)
         k = ht["k"].to_numpy(zero_copy_only=False)
@@ -2702,12 +2704,11 @@ def trade_degree_hist(
         )
 
     def tag_l(batch: pa.Table) -> pa.Table:
-        hi = batch.filter(pc.greater_equal(batch["l_quantity"], min_qty))
         return pa.table(
             {
-                "k": pc.cast(hi["l_orderkey"], pa.int64()),
-                "v": pc.cast(hi["l_suppkey"], pa.int64()),
-                "kind": pa.array([1] * hi.num_rows, pa.int8()),
+                "k": batch["k"],
+                "v": batch["supp"],
+                "kind": pa.array([1] * batch.num_rows, pa.int8()),
             }
         )
 
@@ -2716,7 +2717,7 @@ def trade_degree_hist(
 
     tagged = (
         orders.map_batches(tag_o, batch_format="pyarrow")
-        .union(lineitem.map_batches(tag_l, batch_format="pyarrow"))
+        .union(hi_ds.map_batches(tag_l, batch_format="pyarrow"))
         .map_batches(add_pp, batch_format="pyarrow")
     )
 

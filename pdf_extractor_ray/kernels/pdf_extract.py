@@ -21,6 +21,17 @@ classic ``trailer``). No encryption, no CID fonts. Anything else fails
 *gracefully* to ``status='error'`` — the reference's swallow-error
 pattern (``pypdf2_extractor.py:41-48``).
 
+Per page, two layers do the work:
+  * ``_run_text_ops``: one compiled ``findall`` lexes the content stream
+    into a list of byte tokens (whitespace matches nothing, so it costs
+    nothing); a stream that regex cannot lex (string escapes, nested
+    parens, hex strings, stray ``) > { }``) is re-lexed by a position
+    scanner into the same token shape. One text-operator state machine
+    consumes the list, dispatching on each token's first byte, and appends
+    chunks as plain ``(x, y, text, width, size)`` tuples.
+  * ``_layout_page_parts``: chunks -> lines -> blocks, plus the per-line
+    cell split that feeds table detection.
+
 Frozen byte-identity invariants (SURVEY.md §7.1):
   * chunk width estimate: 0.5 * font_size * len(text) (Helvetica-ish)
   * line clustering: chunks whose baseline y differs by <= 2.0 share a line
@@ -158,8 +169,9 @@ def _expand_object_streams(
     containers = [
         num
         for num, (dict_part, stream) in objects.items()
-        if stream is not None and _TYPE_RE.search(dict_part) is not None
-        and _TYPE_RE.search(dict_part).group(1) == b"ObjStm"
+        if stream is not None
+        and (tm := _TYPE_RE.search(dict_part)) is not None
+        and tm.group(1) == b"ObjStm"
     ]
     for num in containers:
         dict_part, stream = objects[num]
@@ -285,40 +297,49 @@ def _content_streams(
 
 
 # --------------------------------------------------------------------------
-# Content-stream tokenizer + text-state machine
+# Content-stream lexer + text-state machine
 # --------------------------------------------------------------------------
 
 _DELIMS = b"()<>[]{}/% \t\r\n\f\0"
-_ESCAPES = {
-    b"n"[0]: "\n", b"r"[0]: "\r", b"t"[0]: "\t", b"b"[0]: "\b",
-    b"f"[0]: "\f", b"("[0]: "(", b")"[0]: ")", b"\\"[0]: "\\",
-}
+# byte after a backslash in a literal string -> the byte it stands for
+_ESCAPES = dict(zip(b"nrtbf()\\", b"\n\r\t\b\f()\\"))
+# a text chunk: (x, y, text, width, size)
+_TextChunk = tuple[float, float, str, float, float]
 
-
-# one-scan matcher for everything except strings: whitespace runs, comments,
-# dict/array delimiters, names, numbers, operators. Dispatch on first byte.
-# (The original byte-at-a-time loop was 45% of whole-kernel CPU; this regex
-# scanner produces the identical token stream — equivalence-checked over the
-# full corpus on rewrite.)
-_SIMPLE_TOK_RE = re.compile(
-    rb"[\x00\t\r\n\f ]+"          # whitespace run
-    rb"|%[^\r\n]*"               # comment: stops at CR OR LF (spec EOL)
-    rb"|<<|>>|\[|\]"               # dict/array delimiters
+# One token per match; ``findall`` yields a stream's whole token list in one
+# C-level pass. Whitespace matches no alternative, so it is skipped for free.
+# Token shapes, told apart by their first byte:
+#   (...)  string, raw bytes between the parens
+#   %...   comment
+#   << >> [ ]
+#   /...   name
+#   +-.0-9 number (``float`` may still reject it: '1.2.3', '-')
+#   other  operator/keyword
+# The last alternative catches a lone ( ) < > { }: a string with escapes or
+# nested parens, a hex string, or a stray delimiter. A stream with such a
+# token is re-lexed by ``_lex_slow``.
+_TOKEN_RE = re.compile(
+    rb"\([^()\\]*\)"                      # string without escapes or nesting
+    rb"|%[^\r\n]*"                        # comment: stops at CR OR LF (spec EOL)
+    rb"|<<|>>|\[|\]"                      # dict/array delimiters
     rb"|/[^()<>\[\]{}/%\x00\t\r\n\f ]*"   # name
-    rb"|[+\-.0-9][+\-.0-9eE]*"     # number
+    rb"|[+\-.0-9][+\-.0-9eE]*"            # number
     rb"|[^()<>\[\]{}/%\x00\t\r\n\f ]+"    # operator/keyword
+    rb"|[()<>{}]"                         # catch-all: needs ``_lex_slow``
 )
+_SLOW_TOKENS = frozenset([b"(", b")", b"<", b">", b"{", b"}"])
 
 
-def _literal_string(stream: bytes, i: int, n: int) -> tuple[str, int]:
-    """Slow path: literal string with escapes and/or nested parens.
-    ``i`` points at the opening '('. Returns (decoded, next index)."""
+def _literal_string(stream: bytes, i: int, n: int) -> tuple[bytes, int]:
+    """Literal string with escapes and/or nested parens. ``i`` points at the
+    opening '('. Returns (decoded bytes, next index); an unterminated string
+    runs to the end of the stream."""
     depth = 1
     i += 1
-    out: list[str] = []
+    out = bytearray()
     while i < n and depth:
         ch = stream[i]
-        if ch == ord("\\"):
+        if ch == 92:  # backslash
             i += 1
             if i >= n:
                 break
@@ -326,40 +347,71 @@ def _literal_string(stream: bytes, i: int, n: int) -> tuple[str, int]:
             if e in _ESCAPES:
                 out.append(_ESCAPES[e])
                 i += 1
-            elif ord("0") <= e <= ord("7"):
+            elif 48 <= e <= 55:  # octal, up to 3 digits
                 oct_digits = stream[i : i + 3]
                 k = 1
-                while k < 3 and k < len(oct_digits) and ord("0") <= oct_digits[k] <= ord("7"):
+                while k < len(oct_digits) and 48 <= oct_digits[k] <= 55:
                     k += 1
-                out.append(chr(int(oct_digits[:k], 8) & 0xFF))
+                out.append(int(oct_digits[:k], 8) & 0xFF)
                 i += k
             elif e in b"\r\n":  # line continuation
                 i += 1
-                if e == ord("\r") and i < n and stream[i] == ord("\n"):
+                if e == 13 and i < n and stream[i] == 10:
                     i += 1
             else:
-                out.append(chr(e))
+                out.append(e)
                 i += 1
-        elif ch == ord("("):
+        elif ch == 40:
             depth += 1
-            out.append("(")
+            out.append(ch)
             i += 1
-        elif ch == ord(")"):
+        elif ch == 41:
             depth -= 1
             if depth:
-                out.append(")")
+                out.append(ch)
             i += 1
         else:
-            out.append(chr(ch))
+            out.append(ch)
             i += 1
-    return "".join(out), i
+    return bytes(out), i
 
 
-class _Chunk:
-    __slots__ = ("x", "y", "text", "width", "size")
-
-    def __init__(self, x: float, y: float, text: str, width: float, size: float):
-        self.x, self.y, self.text, self.width, self.size = x, y, text, width, size
+def _lex_slow(stream: bytes) -> list[bytes]:
+    """The token list of ``_TOKEN_RE.findall`` for a stream with catch-all
+    tokens: every token the regex lexes is kept as is; at a catch-all it
+    scans by position instead. Strings (literal or hex) come out decoded
+    and re-wrapped as ``(`` + bytes + ``)``, so the state machine sees one
+    string shape; a lone ``) > { }`` starts an operator run up to the next
+    delimiter. Raises ``PdfError``/``ValueError`` on a bad hex string."""
+    toks: list[bytes] = []
+    search = _TOKEN_RE.search
+    i, n = 0, len(stream)
+    while True:
+        m = search(stream, i)
+        if m is None:
+            return toks
+        tok = m.group()
+        i = m.end()
+        if tok not in _SLOW_TOKENS:
+            toks.append(tok)
+            continue
+        start = m.start()
+        if tok == b"(":
+            s, i = _literal_string(stream, start, n)
+            toks.append(b"(" + s + b")")
+        elif tok == b"<":
+            j = stream.find(b">", start)
+            if j == -1:
+                raise PdfError("unterminated hex string")
+            hx = stream[start + 1 : j].translate(None, b" \t\r\n\f")
+            if len(hx) % 2:
+                hx += b"0"
+            toks.append(b"(" + bytes.fromhex(hx.decode("ascii")) + b")")
+            i = j + 1
+        else:
+            while i < n and stream[i] not in _DELIMS:
+                i += 1
+            toks.append(stream[start:i])
 
 
 class _Name:
@@ -372,17 +424,19 @@ class _Name:
 _NAME = _Name()
 
 
-def _run_text_ops(stream: bytes) -> list[_Chunk]:
-    """Tokenize + execute the text-operator state machine in ONE pass —
-    the token stream is consumed exactly once, so materializing it
-    (list/generator of per-token tuples) was pure overhead.
+def _run_text_ops(stream: bytes) -> list[_TextChunk]:
+    """Content stream -> text chunks ``(x, y, text, width, size)``.
 
-    Operand representation: native Python types on the stack (float for
-    numbers, str for strings, ``_NAME`` for names, list for arrays) — the
-    earlier ('num', v) tuples allocated two objects per token and every
-    operator paid an extra subscript to unwrap them. Dispatch is ordered
-    by corpus frequency (Td/Tj/TJ per line vs BT/Tf per block)."""
-    chunks: list[_Chunk] = []
+    Lexes the stream into one token list, then runs the text-operator state
+    machine over it. Operands sit on the stack as native values: float for
+    numbers, the raw ``(...)`` token for strings (decoded only when shown),
+    ``_NAME`` for names, list for arrays. Dispatch is ordered by corpus
+    frequency (numbers, then strings; Td/Tj/TJ per line vs BT/Tf per
+    block)."""
+    toks = _TOKEN_RE.findall(stream)
+    if not _SLOW_TOKENS.isdisjoint(toks):
+        toks = _lex_slow(stream)
+    chunks: list[_TextChunk] = []
     size = 12.0
     leading: float | None = None  # None = never set; an explicit 'TL 0' is real
     x = y = 0.0        # current text position
@@ -391,82 +445,33 @@ def _run_text_ops(stream: bytes) -> list[_Chunk]:
     stack: list = []   # operand stack
     array: list = []
     target = stack     # where operands land; flips to ``array`` inside [ ]
-
-    def emit(s: str) -> None:
-        nonlocal x
-        if not s:
-            return
-        w = CHAR_WIDTH_FACTOR * size * len(s)
-        chunks.append(_Chunk(x, y, s, w, size))
-        x += w
-
-    def newline() -> None:
-        nonlocal x, y, ly
-        ly = ly - (leading if leading is not None else 1.2 * size)
-        x, y = lx, ly
-
-    i, n = 0, len(stream)
-    match = _SIMPLE_TOK_RE.match
-    while i < n:
-        c = stream[i]
-        if c == 40:  # "(" literal string
-            j = stream.find(b")", i + 1)
-            if (
-                j != -1
-                and stream.find(b"\\", i + 1, j) == -1
-                and stream.find(b"(", i + 1, j) == -1
-            ):
-                sval = stream[i + 1 : j].decode("latin-1")
-                i = j + 1
-            else:
-                sval, i = _literal_string(stream, i, n)
-            target.append(sval)
+    for tok in toks:
+        c = tok[0]
+        if c in b"+-.0123456789":
+            try:
+                target.append(float(tok))
+            except ValueError:
+                pass
             continue
-        if c == 60 and not stream.startswith(b"<<", i):  # "<" hex string
-            j = stream.find(b">", i)
-            if j == -1:
-                raise PdfError("unterminated hex string")
-            hx = bytes(ch for ch in stream[i + 1 : j] if ch not in b" \t\r\n\f")
-            if len(hx) % 2:
-                hx += b"0"
-            sval = bytes.fromhex(hx.decode("ascii")).decode("latin-1")
-            i = j + 1
-            target.append(sval)
+        if c == 40:  # '(' string
+            target.append(tok)
             continue
-        m = match(stream, i)
-        if m is None:  # lone '>' '{' '}' etc. — operator run
-            j = i + 1
-            while j < n and stream[j] not in _DELIMS:
-                j += 1
-            op = stream[i:j]
-            i = j
-        else:
-            tok = m.group()
-            i = m.end()
-            t0 = tok[0]
-            if t0 in b"\x00\t\r\n\f %":
-                continue
-            if t0 in b"+-.0123456789":
-                try:
-                    target.append(float(tok))
-                except ValueError:
-                    pass
-                continue
-            if t0 == 47:  # '/' name
-                target.append(_NAME)
-                continue
-            if tok == b"[":
-                array = []
-                target = array
-                continue
-            if tok == b"]":
-                target = stack
-                stack.append(array)
-                array = []
-                continue
-            op = tok
+        if c == 47:  # '/' name
+            target.append(_NAME)
+            continue
+        if c == 91:  # '['
+            array = []
+            target = array
+            continue
+        if c == 93:  # ']'
+            target = stack
+            stack.append(array)
+            array = []
+            continue
+        if c == 37:  # '%' comment
+            continue
         if in_text:
-            if op == b"Td" or op == b"TD":
+            if tok == b"Td" or tok == b"TD":
                 if (
                     len(stack) >= 2
                     and type(stack[-1]) is float
@@ -475,49 +480,54 @@ def _run_text_ops(stream: bytes) -> list[_Chunk]:
                     tx, ty = stack[-2], stack[-1]
                     lx, ly = lx + tx, ly + ty
                     x, y = lx, ly
-                    if op == b"TD":
+                    if tok == b"TD":
                         leading = -ty
-            elif op == b"Tj":
-                if stack and type(stack[-1]) is str:
-                    emit(stack[-1])
-            elif op == b"TJ":
+            elif tok == b"Tj" or tok == b"'" or tok == b'"':
+                # ' and " move to the next line, then show like Tj
+                if stack and type(stack[-1]) is bytes:
+                    if tok != b"Tj":
+                        ly = ly - (leading if leading is not None else 1.2 * size)
+                        x, y = lx, ly
+                    s = stack[-1]
+                    if len(s) > 2:
+                        w = CHAR_WIDTH_FACTOR * size * (len(s) - 2)
+                        chunks.append((x, y, s[1:-1].decode("latin-1"), w, size))
+                        x += w
+            elif tok == b"TJ":
                 if stack and type(stack[-1]) is list:
                     for v in stack[-1]:
                         tv = type(v)
-                        if tv is str:
-                            emit(v)
+                        if tv is bytes:
+                            if len(v) > 2:
+                                w = CHAR_WIDTH_FACTOR * size * (len(v) - 2)
+                                chunks.append(
+                                    (x, y, v[1:-1].decode("latin-1"), w, size)
+                                )
+                                x += w
                         elif tv is float:
                             x -= v / 1000.0 * size
-            elif op == b"ET":
+            elif tok == b"ET":
                 in_text = False
-            elif op == b"Tf":
+            elif tok == b"Tf":
                 if stack and type(stack[-1]) is float:
                     size = stack[-1]
-            elif op == b"TL":
+            elif tok == b"TL":
                 if stack and type(stack[-1]) is float:
                     leading = stack[-1]
-            elif op == b"Tm":
+            elif tok == b"Tm":
                 if len(stack) >= 6 and all(
                     type(v) is float for v in stack[-6:]
                 ):
-                    e, f = stack[-2], stack[-1]
-                    lx, ly = e, f
-                    x, y = e, f
-            elif op == b"T*":
-                newline()
-            elif op == b"'":
-                if stack and type(stack[-1]) is str:
-                    newline()
-                    emit(stack[-1])
-            elif op == b'"':
-                if stack and type(stack[-1]) is str:
-                    newline()
-                    emit(stack[-1])
-            elif op == b"BT":  # nested BT (malformed): re-enter, reset
+                    x = lx = stack[-2]
+                    y = ly = stack[-1]
+            elif tok == b"T*":
+                ly = ly - (leading if leading is not None else 1.2 * size)
+                x, y = lx, ly
+            elif tok == b"BT":  # nested BT (malformed): re-enter, reset
                 x = y = lx = ly = 0.0
             stack.clear()
         else:
-            if op == b"BT":
+            if tok == b"BT":
                 in_text = True
                 x = y = lx = ly = 0.0
             stack.clear()
@@ -527,29 +537,6 @@ def _run_text_ops(stream: bytes) -> list[_Chunk]:
 # --------------------------------------------------------------------------
 # Layout analysis: chunks -> lines -> blocks -> reading-order text
 # --------------------------------------------------------------------------
-
-def _split_cells(line: list[_Chunk]) -> list[tuple[float, str]]:
-    """x-sorted line -> ``[(cell_left_x, raw_cell_text)]``. A gap wider than
-    ``CELL_GAP_FACTOR * size`` starts a new cell; narrower word gaps follow
-    the text path's one-space rule, so joining the raw cell texts with a
-    single space reproduces the line text byte-for-byte."""
-    cells: list[tuple[float, list[str]]] = []
-    cur: list[str] = []
-    cur_x = line[0].x
-    prev_end: float | None = None
-    for c in line:
-        if prev_end is not None:
-            gap = c.x - prev_end
-            if gap > CELL_GAP_FACTOR * c.size:
-                cells.append((cur_x, cur))
-                cur, cur_x = [], c.x
-            elif gap > GAP_SPACE_FACTOR * c.size:
-                cur.append(" ")
-        cur.append(c.text)
-        prev_end = c.x + c.width
-    cells.append((cur_x, cur))
-    return [(x, "".join(parts)) for x, parts in cells]
-
 
 def _detect_tables(
     cell_rows: list[list[tuple[float, str]] | None],
@@ -588,59 +575,87 @@ def _detect_tables(
     return "\n\n".join(tables)
 
 
-def _layout_page_parts(chunks: list[_Chunk]) -> tuple[str, str]:
+def _layout_page_parts(chunks: list[_TextChunk]) -> tuple[str, str]:
     """chunks -> (page_text, page_tables). One line clustering feeds both
-    products; the text output is byte-identical to the pre-table kernel
-    (cell splits are strictly finer than the one-space word-gap rule)."""
+    products: within an x-sorted line, a gap wider than ``CELL_GAP_FACTOR *
+    size`` starts a new cell and a narrower gap wider than
+    ``GAP_SPACE_FACTOR * size`` is one space, so the line text is its raw
+    cell texts joined by single spaces."""
     if not chunks:
         return "", ""
     # lines: cluster by baseline y (descending), tolerance Y_LINE_TOL
-    chunks_sorted = sorted(chunks, key=lambda c: (-c.y, c.x))
-    lines: list[list[_Chunk]] = []
-    for c in chunks_sorted:
-        if lines and abs(lines[-1][0].y - c.y) <= Y_LINE_TOL:
-            lines[-1].append(c)
+    # against the first chunk of the current line
+    lines: list[list[_TextChunk]] = []
+    line: list[_TextChunk] = []
+    line_y = 0.0
+    for c in sorted(chunks, key=lambda c: (-c[1], c[0])):
+        if line and abs(line_y - c[1]) <= Y_LINE_TOL:
+            line.append(c)
         else:
-            lines.append([c])
+            line = [c]
+            line_y = c[1]
+            lines.append(line)
 
     line_infos: list[tuple[float, float, float, str]] = []  # (y, x0, size, text)
     cell_rows: list[list[tuple[float, str]] | None] = []
+    any_table_row = False
     for line in lines:
-        line.sort(key=lambda c: c.x)
-        raw_cells = _split_cells(line)
-        max_size = max(c.size for c in line)
-        text = " ".join(t for _, t in raw_cells).strip()
+        if len(line) > 1:
+            line.sort(key=lambda c: c[0])
+        x0, y0, text, w0, max_size = line[0]
+        prev_end = x0 + w0
+        cur = [text]
+        cur_x = x0
+        cells: list[tuple[float, list[str]]] | None = None
+        for i in range(1, len(line)):
+            cx, _, t, w, s = line[i]
+            gap = cx - prev_end
+            if gap > CELL_GAP_FACTOR * s:
+                if cells is None:
+                    cells = []
+                cells.append((cur_x, cur))
+                cur, cur_x = [], cx
+            elif gap > GAP_SPACE_FACTOR * s:
+                cur.append(" ")
+            cur.append(t)
+            prev_end = cx + w
+            if s > max_size:
+                max_size = s
+        if cells is None:
+            text = "".join(cur).strip()
+            cell_rows.append(None)
+        else:
+            cells.append((cur_x, cur))
+            raw = [(cx, "".join(parts)) for cx, parts in cells]
+            text = " ".join(t for _, t in raw).strip()
+            stripped = [(cx, t.strip()) for cx, t in raw]
+            stripped = [(cx, t) for cx, t in stripped if t]
+            if len(stripped) >= MIN_TABLE_COLS:
+                cell_rows.append(stripped)
+                any_table_row = True
+            else:
+                cell_rows.append(None)
         if text:
-            line_infos.append((line[0].y, line[0].x, max_size, text))
-        stripped = [(x, t.strip()) for x, t in raw_cells]
-        stripped = [(x, t) for x, t in stripped if t]
-        cell_rows.append(stripped if len(stripped) >= MIN_TABLE_COLS else None)
+            line_infos.append((y0, x0, max_size, text))
 
-    page_tables = _detect_tables(cell_rows)
+    page_tables = _detect_tables(cell_rows) if any_table_row else ""
     if not line_infos:
         return "", page_tables
     # blocks: split on big vertical gaps (descending y order)
-    blocks: list[list[tuple[float, float, float, str]]] = []
-    for info in line_infos:
-        if blocks:
-            prev = blocks[-1][-1]
-            if prev[0] - info[0] > BLOCK_GAP_FACTOR * prev[2]:
-                blocks.append([info])
-            else:
-                blocks[-1].append(info)
-        else:
+    prev = line_infos[0]
+    blocks: list[list[tuple[float, float, float, str]]] = [[prev]]
+    for info in line_infos[1:]:
+        if prev[0] - info[0] > BLOCK_GAP_FACTOR * prev[2]:
             blocks.append([info])
+        else:
+            blocks[-1].append(info)
+        prev = info
 
     # reading order: (-top_y, left_x)
-    blocks.sort(key=lambda b: (-b[0][0], min(li[1] for li in b)))
+    if len(blocks) > 1:
+        blocks.sort(key=lambda b: (-b[0][0], min(li[1] for li in b)))
     text = "\n\n".join("\n".join(li[3] for li in b) for b in blocks)
     return text, page_tables
-
-
-def _layout_page(chunks: list[_Chunk]) -> str:
-    """Text-only view of ``_layout_page_parts`` (kept for callers/tests that
-    predate the TABLE product)."""
-    return _layout_page_parts(chunks)[0]
 
 
 def pdf_page_count(payload: bytes) -> int:

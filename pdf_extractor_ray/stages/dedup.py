@@ -79,9 +79,14 @@ def require_urls(keys: pa.Table, path: str) -> None:
 
 
 def _key_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch (url -> min_ts_us, count) partial. min_ts rides as int64
-    microseconds: Ray's native Min aggregate degrades timestamp[us, UTC]
-    to timestamp[s] (silent sub-second truncation)."""
+    """Per-batch (url -> min_ts_us, count) partial of a keys batch read
+    with its ``path`` column; null urls are rejected per shard (the count
+    in the message is the batch's). min_ts rides as int64 microseconds:
+    Ray's native Min aggregate degrades timestamp[us, UTC] to timestamp[s]
+    (silent sub-second truncation)."""
+    if batch["url"].null_count:
+        for path in pc.unique(batch["path"]).to_pylist():
+            require_urls(batch.filter(pc.equal(batch["path"], path)), path)
     t = batch.group_by(["url"]).aggregate(
         [("warc_ts", "min"), ("warc_ts", "count")]
     )
@@ -196,7 +201,12 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     import ray
     from ray.data.aggregate import Min, Sum
 
-    keys = rd.read_parquet(input_path, columns=["url", "warc_ts"])
+    keys = rd.read_parquet(
+        input_path, columns=["url", "warc_ts"], include_paths=True
+    )
+    # surface require_urls' ValueError as itself, as on the driver path,
+    # not wrapped in Ray Data's UserCodeException
+    keys.context.raise_original_map_exception = True
     partials = keys.map_batches(_key_partial, batch_format="pyarrow")
     combined = partials.groupby("url").aggregate(Min("ts_min_us"), Sum("cnt"))
 

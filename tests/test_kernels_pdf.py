@@ -86,6 +86,26 @@ def test_escapes_and_hex_strings():
     assert extract_pdf(pdf2).text == "Hi hex!"
 
 
+def test_streams_the_regex_lexer_cannot_take():
+    """Streams with a string escape, nested parens, a hex string or a stray
+    delimiter go through the position scanner; the generated corpus never
+    writes any of them."""
+    def text(ops: bytes) -> str:
+        return extract_pdf(_mini_pdf(b"BT /F1 12 Tf 72 720 Td " + ops + b" ET")).text
+
+    assert text(rb"(a \) b) Tj") == "a ) b"
+    assert text(b"(a(b)c) Tj") == "a(b)c"
+    assert text(b"<48 65 6C>Tj") == "Hel"
+    # octal escape and a line continuation inside one string
+    assert text(b"(\\101B\\\nC) Tj") == "ABC"
+    # a stray '}' starts an operator run; text around it survives
+    assert text(b"(x) Tj } (y) Tj") == "xy"
+    res = extract_pdf(_mini_pdf(b"BT /F1 12 Tf 72 720 Td (ok) Tj <4869 Tj ET"))
+    assert res.status == "error"
+    assert res.error == "pdf:PdfError:unterminated hex string"
+    assert res.text == ""
+
+
 def test_corrupt_inputs_flagged_not_raised():
     assert extract_pdf(b"%PDF-1.4\n\x00\x01garbage").status in ("error", "empty")
     res = extract_pdf(b"%PDF-1.4\n1 0 obj\n<< /Length 99 >>\nstream\nAAAA")

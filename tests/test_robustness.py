@@ -218,13 +218,14 @@ def test_kernel_robustness_fixes():
     assert sniff_table(t)[0].as_py() == "html"
     assert extract_html(bom_doc).status == "ok"
 
-    # CR-only-EOL comment terminates (PDF spec EOL)
+    # CR-only-EOL comment terminates (PDF spec EOL); chunks are
+    # (x, y, text, width, size) tuples
     chunks = _run_text_ops(b"BT /F1 12 Tf 72 700 Td (Hello) Tj % note\r0 -20 Td (World) Tj ET")
-    assert [c.text for c in chunks] == ["Hello", "World"]
+    assert [text for _, _, text, _, _ in chunks] == ["Hello", "World"]
 
     # explicit 'TL 0' means zero leading, not unset
     chunks = _run_text_ops(b"BT /F1 12 Tf 0 TL 72 700 Td (A) Tj T* (B) Tj ET")
-    ys = {round(c.y, 1) for c in chunks}
+    ys = {round(y, 1) for _, y, _, _, _ in chunks}
     assert ys == {700.0}
 
 
@@ -403,3 +404,43 @@ def test_null_url_rejected_by_both_drivers(ray_session, tmp_path):
         process_partition(0, [shard], str(tmp_path / "part"), None)
     with pytest.raises(ValueError, match="null url"):
         oracle_extract_tables(pages)
+
+
+def test_null_url_rejected_by_distributed_dup_index(
+    ray_session, tmp_path, monkeypatch
+):
+    """Above ``_DRIVER_KEY_ROWS`` keys the dup index is built by Ray tasks;
+    a null url there raises the same ValueError, naming the shard, as on
+    the driver path."""
+    import re
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from pdf_extractor_ray.sources.pages import PAGES_SCHEMA
+    from pdf_extractor_ray.stages import dedup
+
+    n = 3
+    pages = pa.table(
+        {
+            "url": ["https://a.test/", None, "https://a.test/"],
+            "warc_ts": pa.array(list(range(n)), pa.int64()).cast(
+                pa.timestamp("us", tz="UTC")
+            ),
+            "html": [b"<html><body><p>page</p></body></html>"] * n,
+            "text": [None] * n,
+            "lang": ["en"] * n,
+        },
+        schema=PAGES_SCHEMA,
+    )
+    src = tmp_path / "pages"
+    src.mkdir()
+    shard = str(src / "shard-00000.parquet")
+    pq.write_table(pages, shard)
+    named = re.escape(shard)
+
+    with pytest.raises(ValueError, match=named):
+        dedup.build_dup_index(str(src))
+    monkeypatch.setattr(dedup, "_DRIVER_KEY_ROWS", 0)
+    with pytest.raises(ValueError, match=named):
+        dedup.build_dup_index(str(src))
