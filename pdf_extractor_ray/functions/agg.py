@@ -1,13 +1,32 @@
-"""Partial-aggregation helpers: combine inside ``map_batches`` first, so the
-``groupby`` exchange only moves tiny per-batch partials, never raw rows.
+"""Keyed exchanges and partial aggregation: every join and every
+hash-by-key exchange in the engine is one of two task-only primitives over
+Ray Data's default sort-based ``groupby`` (no aggregator actors, no actor
+pools):
 
-Reference analog: the reference computes its aggregations driver-side in
-Python over full result sets (e.g. per-job feedback stats,
-``/root/reference/backend/src/main.py:943-951``; per-user breakdown,
+- ``keyed_exchange(ds, keys, fn, n_parts)`` hash-tags each row by ``keys``
+  into one of ``n_parts`` buckets and calls ``fn`` once per bucket;
+- ``keyed_join(left, right, on, right_on, how, n_parts)`` tags each side
+  on its own key and joins each bucket's left and right rows as two
+  separate tables: ``how`` is a pyarrow ``Table.join`` type or a function
+  ``how(left_rows, right_rows)``.
+
+The invariant both keep: one BUCKET (≈ keyed rows / ``n_parts``), not one
+key, must fit in a worker — raw-row exchanges size ``n_parts`` with
+``scaled_partitions`` so a bucket stays bounded as the table grows, and
+every ``fn`` resolves all keys of its bucket in one vectorized pass.
+Stages that compute a bucket id of their own (ordered value or md5-prefix
+ranges, LSH band and shingle-hash buckets, pair-index buckets) or group by
+a low-cardinality column call ``groupby`` on it directly.
+
+Aggregates combine inside ``map_batches`` first, so their exchange only
+moves tiny per-batch partials, never raw rows. Reference analog: the
+reference computes its aggregations driver-side in Python over full result
+sets (e.g. per-job feedback stats,
+the reference's ``backend/src/main.py:943-951``; per-user breakdown,
 ``main.py:1291-1318``). At 100 TB that is the anti-pattern; here every
 aggregate is a per-batch pyarrow ``group_by`` partial followed by a final
-``groupby(keys).map_groups`` over partial rows (cardinality = #groups x
-#batches, i.e. KBs on the wire instead of the table).
+keyed exchange over partial rows (cardinality = #groups x #batches, i.e.
+KBs on the wire instead of the table).
 
 Exactness convention: money/value columns are converted to integer cents
 (``ROUND(x*100)`` half-away-from-zero, matching DuckDB/ANSI ROUND) before
@@ -85,27 +104,25 @@ def partial_group_agg(
 _N_AGG_PARTITIONS = 256  # coarse combine partitions (≈ cores of a big cluster)
 
 
-def _hash_partition_column(
-    t: pa.Table, keys: list[str], n_parts: int = _N_AGG_PARTITIONS
-) -> pa.Array:
+def _hash_partition_column(t: pa.Table, keys: list[str], n_parts: int) -> pa.Array:
     """Deterministic per-row partition id from the key columns (vectorized
-    pandas row hashing — stable across workers/processes), mod ``n_parts``."""
+    pandas row hashing — stable across workers/processes), mod ``n_parts``.
+    Integer keys are hashed as null-filled int64: pandas hashes an int32
+    and an int64 of the same negative value differently, and widens an
+    integer column with nulls to float64, so either would send one key to
+    two buckets."""
     import pandas as pd
 
+    cols = [
+        pc.fill_null(pc.cast(t[k], pa.int64(), safe=False), 0)
+        if pa.types.is_integer(t[k].type)
+        else t[k]
+        for k in keys
+    ]
     h = pd.util.hash_pandas_object(
-        t.select(keys).to_pandas(), index=False
+        pa.table(cols, names=keys).to_pandas(), index=False
     ).to_numpy()
     return pa.array((h % n_parts).astype("int64"))
-
-
-def tag_partition(
-    batch: pa.Table, keys: list[str], n_parts: int = _N_AGG_PARTITIONS
-) -> pa.Table:
-    """Append the ``__pp`` coarse-partition column. The invariant a caller
-    buys: one PARTITION (≈ total keyed rows / n_parts), not one key, must
-    fit in a worker — so ops that shuffle RAW rows (not reduced partials)
-    must scale n_parts with the table (see ``scaled_partitions``)."""
-    return batch.append_column("__pp", _hash_partition_column(batch, keys, n_parts))
 
 
 def scaled_partitions(n_rows: int, rows_per_bucket: int = 500_000) -> int:
@@ -114,6 +131,164 @@ def scaled_partitions(n_rows: int, rows_per_bucket: int = 500_000) -> int:
     fixed floor (which alone would cap parallelism at 256 tasks and force
     ~1/256 of the table into each combine at corpus scale)."""
     return max(_N_AGG_PARTITIONS, n_rows // rows_per_bucket + 1)
+
+
+def _by_bucket(tagged: rd.Dataset, run: Callable, fn: Callable) -> rd.Dataset:
+    """The one exchange: rows meet by their ``__pp`` bucket (Ray Data's
+    task-only sort shuffle) and ``run`` calls ``fn`` once per non-empty
+    bucket; the Ray operator keeps ``fn``'s name."""
+    run.__name__ = getattr(fn, "func", fn).__name__
+    return tagged.groupby("__pp").map_groups(run, batch_format="pyarrow")
+
+
+def keyed_exchange(
+    ds: rd.Dataset,
+    keys: list[str],
+    fn: Callable[[pa.Table], pa.Table],
+    n_parts: int,
+) -> rd.Dataset:
+    """Hash-bucket ``ds`` by ``keys`` into ``n_parts`` buckets and return the
+    concatenation of ``fn(bucket_rows)`` over every non-empty bucket. All
+    rows of a key land in one call; a call holds many keys."""
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__pp", _hash_partition_column(batch, keys, n_parts))
+
+    def run(group: pa.Table) -> pa.Table:
+        return fn(group.drop_columns(["__pp"]))
+
+    return _by_bucket(ds.map_batches(tag, batch_format="pyarrow"), run, fn)
+
+
+def _known_schema(ds: rd.Dataset) -> pa.Schema | None:
+    """The dataset's arrow schema when Ray knows it without executing
+    anything (parquet reads, materialized and in-memory datasets)."""
+    s = ds.schema(fetch_if_missing=False)
+    base = None if s is None else s.base_schema
+    return base if isinstance(base, pa.Schema) else None
+
+
+def keyed_join(
+    left: rd.Dataset,
+    right: rd.Dataset,
+    on: list[str],
+    right_on: list[str],
+    how: str | Callable[[pa.Table, pa.Table], pa.Table],
+    *,
+    n_parts: int,
+) -> rd.Dataset:
+    """Hash join in ONE exchange: each side is bucketed on its own key
+    columns and every bucket's rows travel as arrow IPC payloads, so the
+    sides never share a schema. Per bucket that holds rows of either side,
+    the bucket's left and right rows meet as two tables: ``how`` names a
+    pyarrow ``Table.join`` type (``inner``, ``left outer``, ``full outer``,
+    ``left semi``, ``left anti``) or is a function ``how(l, r)`` that
+    returns the bucket's output.
+
+    Key columns must have the same type on both sides (any integer widths
+    match); when Ray knows both schemas at plan time (``_known_schema``: parquet
+    reads, materialized and in-memory datasets) a mismatch raises
+    ``ValueError``. A side with no rows in a bucket arrives as a zero-row
+    table: with the side's full schema when Ray knows it, else with only
+    its key columns — so a custom ``how`` must not read other columns of
+    an empty side, and the outer join types need the padded side's schema
+    known."""
+    import numpy as np
+
+    keys = (on, right_on)
+    schemas = (_known_schema(left), _known_schema(right))
+    if all(s is not None for s in schemas):
+        for lk, rk in zip(on, right_on):
+            lt, rt = schemas[0].field(lk).type, schemas[1].field(rk).type
+            if lt != rt and not (pa.types.is_integer(lt) and pa.types.is_integer(rt)):
+                raise ValueError(f"keyed_join key {lk!r} is {lt}, {rk!r} is {rt}")
+    if isinstance(how, str):
+        padded = {"left outer": (1,), "full outer": (0, 1)}.get(how, ())
+        if any(schemas[i] is None for i in padded):
+            raise ValueError(
+                f"keyed_join {how!r}: pass a function, or a side whose schema "
+                "Ray knows, so rows without a match get typed null columns"
+            )
+
+        def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+            return lt.join(rt, keys=on, right_keys=right_on, join_type=how)
+
+        fn = join
+    else:
+        fn = how
+
+    def pack(side: int):
+        # one output row per bucket of the block: the bucket's rows as one
+        # bare arrow IPC record-batch message, next to the block's
+        # serialized schema (a per-bucket IPC stream rebuilds the schema
+        # for every bucket: twice the cost to write, three times to read)
+        def tag(batch: pa.Table) -> pa.Table:
+            pp = _hash_partition_column(batch, keys[side], n_parts).to_numpy()
+            order = np.argsort(pp, kind="stable")
+            rows, pp = batch.take(order).combine_chunks(), pp[order]
+            starts = np.flatnonzero(np.diff(pp, prepend=-1))
+            ends = np.append(starts[1:], len(pp))
+            sink, offsets = pa.BufferOutputStream(), [0]
+            for s, e in zip(starts.tolist(), ends.tolist()):
+                sink.write(rows.slice(s, e - s).to_batches()[0].serialize())
+                offsets.append(sink.tell())
+            schema = rows.schema.serialize().to_pybytes()
+            n = len(starts)
+
+            def binary(offsets, data: pa.Buffer) -> pa.Array:
+                offsets = pa.array(offsets, pa.int64()).buffers()[1]
+                return pa.LargeBinaryArray.from_buffers(
+                    pa.large_binary(), n, [None, offsets, data]
+                )
+
+            return pa.table(
+                {
+                    "__pp": pa.array(pp[starts], pa.int64()),
+                    "__side": pa.array(np.full(n, side, np.int8)),
+                    "__schema": binary(
+                        np.arange(n + 1) * len(schema), pa.py_buffer(schema * n)
+                    ),
+                    "__rows": binary(offsets, sink.getvalue()),
+                }
+            )
+
+        return tag
+
+    def join_bucket(group: pa.Table) -> pa.Table:
+        messages: dict[tuple[int, bytes], list] = {}
+        for side, schema, buf in zip(
+            group["__side"].to_pylist(), group["__schema"].to_pylist(), group["__rows"]
+        ):
+            messages.setdefault((side, schema), []).append(buf.as_buffer())
+        parts: tuple[list, list] = ([], [])
+        for (side, schema), bufs in messages.items():
+            sch = pa.ipc.read_schema(pa.py_buffer(schema))
+            parts[side].append(
+                pa.Table.from_batches(
+                    [pa.ipc.read_record_batch(b, sch) for b in bufs], sch
+                )
+            )
+        sides = [
+            pa.concat_tables(p, promote_options="default") if p else None
+            for p in parts
+        ]
+        for i in (0, 1):
+            if sides[i] is None and schemas[i] is not None:
+                sides[i] = schemas[i].empty_table()
+            elif sides[i] is None:
+                other = sides[1 - i].schema
+                sides[i] = pa.table(
+                    {
+                        k: pa.array([], other.field(ok).type)
+                        for k, ok in zip(keys[i], keys[1 - i])
+                    }
+                )
+        return fn(*sides)
+
+    tagged = left.map_batches(pack(0), batch_format="pyarrow").union(
+        right.map_batches(pack(1), batch_format="pyarrow")
+    )
+    return _by_bucket(tagged, join_bucket, fn)
 
 
 def combine_partials(
@@ -159,11 +334,9 @@ def grouped_sum(
     of the (tiny) partials, hash-bucketed into at most
     ``_N_AGG_PARTITIONS`` coarse groups -> one vectorized combine per
     bucket -> one row per key group."""
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(partial(batch), keys)
-
-    partials = ds.map_batches(tag, batch_format="pyarrow")
-    return partials.groupby("__pp").map_groups(
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        keys,
         functools.partial(
             combine_partials,
             keys=keys,
@@ -172,7 +345,7 @@ def grouped_sum(
             max_cols=max_cols,
             post=post,
         ),
-        batch_format="pyarrow",
+        _N_AGG_PARTITIONS,
     )
 
 

@@ -32,7 +32,6 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-_CC_NODE_BUCKETS = 256
 _LOCAL_EDGE_LIMIT = 2_000_000  # see links._LOCAL_EDGE_LIMIT — same rationale
 
 
@@ -52,7 +51,7 @@ def pair_components(
     ``out_canon`` is the minimum id in the node's component."""
     import ray
 
-    from .agg import collect
+    from .agg import collect, keyed_exchange, scaled_partitions
 
     empty = pa.table(
         {out_id: pa.array([], pa.int64()), out_canon: pa.array([], pa.int64())}
@@ -96,12 +95,7 @@ def pair_components(
                 ]
             )
         )
-        return pa.table(
-            {
-                "id": pa.array(ids, pa.int64()),
-                "__pp": pa.array(ids % _CC_NODE_BUCKETS),
-            }
-        )
+        return pa.table({"id": pa.array(ids, pa.int64())})
 
     def node_unique(group: pa.Table) -> pa.Table:
         return pa.table(
@@ -114,9 +108,12 @@ def pair_components(
         )
 
     nodes_t = collect(
-        edges.map_batches(node_partial, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(node_unique, batch_format="pyarrow")
+        keyed_exchange(
+            edges.map_batches(node_partial, batch_format="pyarrow"),
+            ["id"],
+            node_unique,
+            scaled_partitions(2 * n_edges),
+        )
     )
     nodes = np.sort(nodes_t["id"].to_numpy(zero_copy_only=False))
     labels = nodes.copy()  # each node starts labeled by its own id

@@ -299,12 +299,10 @@ def trade_nation_edges(sf_dir: str, *, min_qty: int = 50) -> pa.Table:
     high-volume trade graph (shared edge semantics with
     relational.trade_components / trade_degree_hist: l_quantity >= min_qty
     joins orders->customer and lineitem->supplier)."""
-    import functools as _ft
-
-    import pyarrow.parquet as pq
     import ray
 
-    from .agg import collect, scaled_partitions, tag_partition
+    from .agg import collect, keyed_join
+    from .relational import _hi_qty_pairs, _raw_parts
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
@@ -313,13 +311,6 @@ def trade_nation_edges(sf_dir: str, *, min_qty: int = 50) -> pa.Table:
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_quantity"],
     )
-    n_parts = scaled_partitions(
-        sum(
-            pq.read_metadata(f"{sf_dir}/{t}.parquet").num_rows
-            for t in ("orders", "lineitem")
-        )
-    )
-
     cust = collect(
         rd.read_parquet(
             f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
@@ -356,54 +347,20 @@ def trade_nation_edges(sf_dir: str, *, min_qty: int = 50) -> pa.Table:
         )
     )
 
-    def tag_o(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "k": pc.cast(batch["o_orderkey"], pa.int64()),
-                "v": pc.cast(batch["o_custkey"], pa.int64()),
-                "kind": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-
-    def tag_l(batch: pa.Table) -> pa.Table:
-        hi = batch.filter(pc.greater_equal(batch["l_quantity"], min_qty))
-        return pa.table(
-            {
-                "k": pc.cast(hi["l_orderkey"], pa.int64()),
-                "v": pc.cast(hi["l_suppkey"], pa.int64()),
-                "kind": pa.array([1] * hi.num_rows, pa.int8()),
-            }
-        )
-
-    tagged = (
-        orders.map_batches(tag_o, batch_format="pyarrow")
-        .union(lineitem.map_batches(tag_l, batch_format="pyarrow"))
-        .map_batches(
-            _ft.partial(tag_partition, keys=["k"], n_parts=n_parts),
-            batch_format="pyarrow",
-        )
-    )
-
-    def edges_of(group: pa.Table) -> pa.Table:
+    def edges_of(od: pa.Table, li: pa.Table) -> pa.Table:
         import numpy as np
 
-        empty = pa.table(
-            {
-                "sn": pa.array([], pa.int64()),
-                "dn": pa.array([], pa.int64()),
-                "w": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0 or "kind" not in group.column_names:
-            return empty
-        li = group.filter(pc.equal(group["kind"], 1))
         if li.num_rows == 0:
-            return empty
-        od = group.filter(pc.equal(group["kind"], 0)).sort_by(
-            [("k", "ascending")]
-        )
-        ok = od["k"].to_numpy(zero_copy_only=False)
-        oc = od["v"].to_numpy(zero_copy_only=False)
+            return pa.table(
+                {
+                    "sn": pa.array([], pa.int64()),
+                    "dn": pa.array([], pa.int64()),
+                    "w": pa.array([], pa.int64()),
+                }
+            )
+        od = od.sort_by([("o_orderkey", "ascending")])
+        ok = od["o_orderkey"].to_numpy(zero_copy_only=False)
+        oc = od["o_custkey"].to_numpy(zero_copy_only=False)
         lk = li["k"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(ok, lk), max(len(ok) - 1, 0))
         if len(ok) == 0 or not np.array_equal(ok[pos], lk):
@@ -413,7 +370,7 @@ def trade_nation_edges(sf_dir: str, *, min_qty: int = 50) -> pa.Table:
         ck, cn = ray.get(cust_ref)
         sk, sn = ray.get(supp_ref)
         src_idx = pc.index_in(pa.array(oc[pos], pa.int64()), value_set=ck)
-        dst_idx = pc.index_in(li["v"].combine_chunks(), value_set=sk)
+        dst_idx = pc.index_in(li["supp"].combine_chunks(), value_set=sk)
         # the oracle's inner joins DROP rows with dangling cust/supp keys;
         # fail loud instead of silently emitting null-nation edges (same
         # policy as the missing-orderkey guard above)
@@ -437,7 +394,14 @@ def trade_nation_edges(sf_dir: str, *, min_qty: int = 50) -> pa.Table:
         )
 
     parts = collect(
-        tagged.groupby("__pp").map_groups(edges_of, batch_format="pyarrow")
+        keyed_join(
+            orders,
+            lineitem.map_batches(
+                _hi_qty_pairs, fn_kwargs={"min_qty": min_qty}, batch_format="pyarrow"
+            ),
+            ["o_orderkey"], ["k"], edges_of,
+            n_parts=_raw_parts(sf_dir, "orders", "lineitem"),
+        )
     )
     if parts is None:
         return pa.table(

@@ -21,7 +21,16 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .agg import cents, collect, empty_like, grouped_sum, partial_group_agg, round_half_away, topk
+from .agg import (
+    cents,
+    collect,
+    grouped_sum,
+    keyed_exchange,
+    keyed_join,
+    partial_group_agg,
+    round_half_away,
+    topk,
+)
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -393,34 +402,17 @@ def events_ordered(sf_dir: str, k: int = 50) -> pa.Table:
 
 # -------------------------------------------------------------------------
 # orders_by_segment — two-sided distributed hash join (orders |x| customer)
-# via Ray's native Dataset.join, then grouped exact-cents aggregate. The
+# via the keyed_join exchange, then grouped exact-cents aggregate. The
 # reference only ever joins via broadcast dict probes (main.py:1066-1098) —
 # this is the scale path when neither side is broadcastable.
 # -------------------------------------------------------------------------
 
 def orders_by_segment(sf_dir: str) -> rd.Dataset:
-    import ray
-    import pyarrow.parquet as pq
-
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    # join parallelism scales with DATA (one partition per ~2M rows, from
-    # parquet metadata — free), capped at 2x cluster CPUs, floor 8. A
-    # count proportional to CPUs alone regressed 6x at 32 CPUs on small
-    # tables (hash-shuffle aggregator actor spin-up dominates); a hardcoded
-    # 8 would bottleneck a 256-node exchange on the big side.
-    rows = (
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows
-        + pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
-    )
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_parts = max(8, min(2 * cpus, rows // 2_000_000 + 1))
-    joined = orders.join(
-        customer,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    joined = keyed_join(
+        orders, customer, ["o_custkey"], ["c_custkey"], "inner",
+        n_parts=_raw_parts(sf_dir, "orders", "customer"),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -452,10 +444,7 @@ def orders_by_segment(sf_dir: str) -> rd.Dataset:
 # -------------------------------------------------------------------------
 
 def latest_event_per_user(sf_dir: str) -> rd.Dataset:
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
-    n_parts = _raw_parts(sf_dir, "events")
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -477,14 +466,11 @@ def latest_event_per_user(sf_dir: str) -> rd.Dataset:
         first = pa.concat_arrays([pa.array([True]), changed])
         return t.filter(first)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(partial(batch), ["user_id"], n_parts)
-
     def combine(group: pa.Table) -> pa.Table:
         # one vectorized pass collapses EVERY user in the hash bucket (the
         # per-batch partial is idempotent — re-applying it to the bucket is
         # the final argmax); per-user map_groups paid a Python call per key
-        best = partial(group.drop_columns(["__pp"]))
+        best = partial(group)
         return pa.table(
             {
                 "user_id": best["user_id"],
@@ -493,8 +479,12 @@ def latest_event_per_user(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    partials = ds.map_batches(tag, batch_format="pyarrow")
-    return partials.groupby("__pp").map_groups(combine, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["user_id"],
+        combine,
+        _raw_parts(sf_dir, "events"),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -512,13 +502,7 @@ SESSION_GAP_US = 30 * 60 * 1_000_000
 def sessionize(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         # every user in the hash bucket in ONE vectorized pass: sort by
@@ -527,13 +511,6 @@ def sessionize(sf_dir: str) -> rd.Dataset:
         t = group.sort_by([("user_id", "ascending"), ("ts", "ascending")])
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_sessions": pa.array([], pa.int64()),
-                }
-            )
         new = np.ones(len(u), dtype=np.int64)
         new[1:] = (u[1:] != u[:-1]) | (ts[1:] - ts[:-1] > SESSION_GAP_US)
         starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
@@ -544,9 +521,7 @@ def sessionize(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------
@@ -672,11 +647,10 @@ def orders_page(sf_dir: str, page: int = 3, page_size: int = 20) -> pa.Table:
 # orders_asof — AS-OF JOIN (events ⟕ latest order at-or-before event ts,
 # keyed user_id = o_custkey). The reference has no temporal joins (SURVEY
 # §2.4: "no range/as-of joins") — this is the custom-operator composition
-# the task brief calls for: tag-union both tables into ONE dataset keyed by
-# the join key, groupby(key), and a vectorized searchsorted merge inside
-# map_groups. ONE shuffle total; the per-(cust,date) tie reduction
-# (max-orderkey wins, deterministic) happens inside the same group, so
-# orders never shuffle twice. Partitioning assumption: one hash BUCKET of
+# the task brief calls for: ONE keyed_join exchange on the join key and a
+# vectorized searchsorted merge per bucket. ONE shuffle total; the
+# per-(cust,date) tie reduction (max-orderkey wins, deterministic) happens
+# inside the same bucket, so orders never shuffle twice. Partitioning assumption: one hash BUCKET of
 # rows (≈ total rows / n_parts, with n_parts scaled to the table via
 # _raw_parts) fits in a worker — keys themselves never bound the task.
 # -------------------------------------------------------------------------
@@ -689,75 +663,38 @@ def orders_asof(sf_dir: str) -> rd.Dataset:
         sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"]
     )
 
-    def tag_events(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(batch["user_id"], pa.int64()),
-                "t": batch["ts"],
-                "kind": pa.array([1] * n, pa.int8()),
-                "event_id": pc.cast(batch["event_id"], pa.int64()),
-                "o_orderkey": pa.nulls(n, pa.int64()),
-                "o_totalprice": pa.nulls(n, pa.float64()),
-            }
-        )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(batch["o_custkey"], pa.int64()),
-                "t": batch["o_orderdate"],
-                "kind": pa.array([0] * n, pa.int8()),
-                "event_id": pa.nulls(n, pa.int64()),
-                "o_orderkey": pc.cast(batch["o_orderkey"], pa.int64()),
-                "o_totalprice": pc.cast(batch["o_totalprice"], pa.float64()),
-            }
-        )
-
-    from .agg import tag_partition
-
-    n_parts = _raw_parts(sf_dir, "events", "orders")
-
-    def add_pp(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["key"], n_parts)
-
-    tagged = (
-        events.map_batches(tag_events, batch_format="pyarrow")
-        .union(orders.map_batches(tag_orders, batch_format="pyarrow"))
-        .map_batches(add_pp, batch_format="pyarrow")
-    )
-
-    def combine(group: pa.Table) -> pa.Table:
+    def combine(ev: pa.Table, od: pa.Table) -> pa.Table:
         # every key in the hash bucket in ONE vectorized merge: both sides
         # sorted by (key, t); the key folds into the searchsorted probe as
         # key_rank * OFFSET + relative_t (OFFSET > t span, so an event can
         # never match the previous key's orders); per-(key,date) order ties
         # pre-reduced to the max-orderkey row by a boundary mask
-        kind = group["kind"]
-        ev = group.filter(pc.equal(kind, 1)).sort_by(
-            [("key", "ascending"), ("t", "ascending"), ("event_id", "ascending")]
-        )
-        empty = pa.table(
-            {
-                "event_id": pa.array([], pa.int64()),
-                "user_id": pa.array([], pa.int64()),
-                "ts": pa.array([], pa.timestamp("us")),
-                "last_orderkey": pa.array([], pa.int64()),
-                "last_totalprice": pa.array([], pa.float64()),
-            }
-        )
         if ev.num_rows == 0:
-            return empty
-        od = group.filter(pc.equal(kind, 0)).sort_by(
-            [("key", "ascending"), ("t", "ascending"), ("o_orderkey", "descending")]
+            return pa.table(
+                {
+                    "event_id": pa.array([], pa.int64()),
+                    "user_id": pa.array([], pa.int64()),
+                    "ts": pa.array([], pa.timestamp("us")),
+                    "last_orderkey": pa.array([], pa.int64()),
+                    "last_totalprice": pa.array([], pa.float64()),
+                }
+            )
+        ev = ev.sort_by(
+            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
-        e_key = ev["key"].to_numpy(zero_copy_only=False)
-        e_ts = pc.cast(ev["t"], pa.int64()).to_numpy(zero_copy_only=False)
+        e_key = ev["user_id"].to_numpy(zero_copy_only=False)
+        e_ts = pc.cast(ev["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         n_e = len(e_ts)
         if od.num_rows:
-            o_key = od["key"].to_numpy(zero_copy_only=False)
-            o_ts = pc.cast(od["t"], pa.int64()).to_numpy(zero_copy_only=False)
+            od = od.sort_by(
+                [
+                    ("o_custkey", "ascending"),
+                    ("o_orderdate", "ascending"),
+                    ("o_orderkey", "descending"),
+                ]
+            )
+            o_key = od["o_custkey"].to_numpy(zero_copy_only=False)
+            o_ts = pc.cast(od["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
             # first row of each (key, date) run wins (max orderkey)
             keep = np.empty(len(o_ts), dtype=bool)
             keep[0] = True
@@ -804,14 +741,17 @@ def orders_asof(sf_dir: str) -> rd.Dataset:
         return pa.table(
             {
                 "event_id": ev["event_id"],
-                "user_id": ev["key"],
-                "ts": ev["t"],
+                "user_id": ev["user_id"],
+                "ts": ev["ts"],
                 "last_orderkey": pa.array(lk, mask=miss),
                 "last_totalprice": pa.array(lp, mask=miss),
             }
         )
 
-    return tagged.groupby("__pp").map_groups(combine, batch_format="pyarrow")
+    return keyed_join(
+        events, orders, ["user_id"], ["o_custkey"], combine,
+        n_parts=_raw_parts(sf_dir, "events", "orders"),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -831,13 +771,7 @@ _WINDOW_US = 3_600_000_000  # 1 hour
 def user_rolling_window(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         # every user in the hash bucket in ONE vectorized pass: sort by
@@ -851,16 +785,6 @@ def user_rolling_window(sf_dir: str) -> rd.Dataset:
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts": pa.array([], pa.timestamp("us")),
-                    "w_count": pa.array([], pa.int64()),
-                    "w_sum_c": pa.array([], pa.int64()),
-                }
-            )
         v_c = cents(t["value"]).to_numpy(zero_copy_only=False)
         uidx = np.concatenate([[0], np.cumsum(u[1:] != u[:-1])])
         ts_rel = ts - ts.min()
@@ -892,9 +816,7 @@ def user_rolling_window(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------
@@ -906,23 +828,12 @@ def user_rolling_window(sf_dir: str) -> rd.Dataset:
 
 def top_orders_per_segment(sf_dir: str, k: int = 3) -> rd.Dataset:
     import numpy as np
-    import ray
-    import pyarrow.parquet as pq
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    rows = (
-        pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows
-        + pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
-    )
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_parts = max(8, min(2 * cpus, rows // 2_000_000 + 1))
-    joined = orders.join(
-        customer,
-        join_type="inner",
-        num_partitions=n_parts,
-        on=("o_custkey",),
-        right_on=("c_custkey",),
+    joined = keyed_join(
+        orders, customer, ["o_custkey"], ["c_custkey"], "inner",
+        n_parts=_raw_parts(sf_dir, "orders", "customer"),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1053,9 +964,8 @@ def users_no_big_spend(sf_dir: str) -> rd.Dataset:
 # the same decision a warehouse cost model makes): a dimension side under
 # `broadcast_rows` is collected column-pruned+filtered and probed as a
 # broadcast dict inside map_batches (zero shuffles end-to-end — at sf0.1
-# this cut the query from 40 s to ~4 s, two HashShuffleAggregator pools
-# avoided); a bigger side falls back to the native hash join with
-# data-scaled partition counts. Every scan is column-pruned and filtered
+# this cut the query from 40 s to ~4 s); a bigger side falls back to two chained keyed_join exchanges
+# with data-scaled partition counts. Every scan is column-pruned and filtered
 # BEFORE any exchange. The reference never joins more than two tables
 # (SURVEY §2.4) — this is the canonical warehouse chain at scale.
 # -------------------------------------------------------------------------
@@ -1064,11 +974,6 @@ def shipping_priority(
     sf_dir: str, segment: str = "BUILDING", broadcast_rows: int = 5_000_000
 ) -> pa.Table:
     import datetime
-
-    import ray
-    import pyarrow.parquet as pq
-
-    from .agg import collect, topk
 
     cutoff = pa.scalar(datetime.datetime(1998, 1, 1), pa.timestamp("us"))
 
@@ -1098,9 +1003,6 @@ def shipping_priority(
 
     cust_rows = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
     ord_rows = pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows
-    li_rows = pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-
     if cust_rows <= broadcast_rows and ord_rows <= broadcast_rows:
         # broadcast path: (orderkey -> orderdate) for qualifying orders of
         # qualifying customers, probed inside the lineitem partial stage
@@ -1146,20 +1048,17 @@ def shipping_priority(
 
         j = li.map_batches(li_probe, batch_format="pyarrow")
     else:
-        n_parts = max(8, min(2 * cpus, (ord_rows + li_rows) // 2_000_000 + 1))
-        ordc = orders.map_batches(ord_filter, batch_format="pyarrow").join(
+        ordc = keyed_join(
+            orders.map_batches(ord_filter, batch_format="pyarrow"),
             cust.map_batches(cust_filter, batch_format="pyarrow"),
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
+            ["o_custkey"], ["c_custkey"], "inner",
+            n_parts=_raw_parts(sf_dir, "orders", "customer"),
         )
-        j = li.map_batches(li_partial, batch_format="pyarrow").join(
+        j = keyed_join(
+            li.map_batches(li_partial, batch_format="pyarrow"),
             ordc,
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+            ["l_orderkey"], ["o_orderkey"], "inner",
+            n_parts=_raw_parts(sf_dir, "orders", "lineitem"),
         )
 
     from ray.data.aggregate import Sum
@@ -1313,13 +1212,11 @@ def source_langs(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    from .agg import tag_partition
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(partial(batch), ["source"])
-
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["source"],
+        combine,
+        _raw_parts(sf_dir, "documents"),
     )
 
 
@@ -1665,13 +1562,7 @@ def quantile_sketch_check(sf_dir: str, quantiles=(25, 50, 75, 95)) -> pa.Table:
 def cum_spend(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    n_parts = _raw_parts(sf_dir, "orders")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["o_custkey"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -1684,15 +1575,6 @@ def cum_spend(sf_dir: str) -> rd.Dataset:
         u = t["o_custkey"].to_numpy(zero_copy_only=False)
         v = cents(t["o_totalprice"]).to_numpy(zero_copy_only=False)
         n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_custkey": pa.array([], pa.int64()),
-                    "o_orderdate": pa.array([], pa.timestamp("us")),
-                    "cum_spend_c": pa.array([], pa.int64()),
-                }
-            )
         total = np.cumsum(v)
         starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
         runs = np.diff(np.append(starts, n))
@@ -1706,9 +1588,7 @@ def cum_spend(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["o_custkey"], combine, _raw_parts(sf_dir, "orders"))
 
 
 # -------------------------------------------------------------------------
@@ -1721,13 +1601,7 @@ def cum_spend(sf_dir: str) -> rd.Dataset:
 def order_rank_per_cust(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    n_parts = _raw_parts(sf_dir, "orders")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["o_custkey"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -1739,15 +1613,6 @@ def order_rank_per_cust(sf_dir: str) -> rd.Dataset:
         )
         u = t["o_custkey"].to_numpy(zero_copy_only=False)
         n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_custkey": pa.array([], pa.int64()),
-                    "o_totalprice": pa.array([], pa.float64()),
-                    "rnk": pa.array([], pa.int64()),
-                }
-            )
         starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
         runs = np.diff(np.append(starts, n))
         rnk = np.arange(n, dtype=np.int64) - np.repeat(starts, runs) + 1
@@ -1760,9 +1625,7 @@ def order_rank_per_cust(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["o_custkey"], combine, _raw_parts(sf_dir, "orders"))
 
 
 # -------------------------------------------------------------------------
@@ -1777,13 +1640,7 @@ def order_rank_per_cust(sf_dir: str) -> rd.Dataset:
 def order_gap_p50(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    n_parts = _raw_parts(sf_dir, "orders")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["o_custkey"], n_parts)
 
     empty = pa.table(
         {
@@ -1821,9 +1678,7 @@ def order_gap_p50(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["o_custkey"], combine, _raw_parts(sf_dir, "orders"))
 
 
 # -------------------------------------------------------------------------
@@ -1836,8 +1691,6 @@ def order_gap_p50(sf_dir: str) -> rd.Dataset:
 def user_modal_event(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1848,11 +1701,8 @@ def user_modal_event(sf_dir: str) -> rd.Dataset:
                 "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
             }
         )
-        return tag_partition(
-            partial_group_agg(
-                t, keys=["user_id", "event_type"], aggs=[("n", "sum")]
-            ),
-            ["user_id"],
+        return partial_group_agg(
+            t, keys=["user_id", "event_type"], aggs=[("n", "sum")]
         )
 
     def combine(group: pa.Table) -> pa.Table:
@@ -1871,14 +1721,6 @@ def user_modal_event(sf_dir: str) -> rd.Dataset:
         )
         t = g.take(idx)
         u = t["user_id"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "modal_type": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         first = np.concatenate([[True], u[1:] != u[:-1]])
         t = t.filter(pa.array(first))
         return pa.table(
@@ -1889,8 +1731,11 @@ def user_modal_event(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return ds.map_batches(partial, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["user_id"],
+        combine,
+        _raw_parts(sf_dir, "events"),
     )
 
 
@@ -1902,8 +1747,6 @@ def user_modal_event(sf_dir: str) -> rd.Dataset:
 # -------------------------------------------------------------------------
 
 def buyers_intersect(sf_dir: str) -> rd.Dataset:
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1918,13 +1761,10 @@ def buyers_intersect(sf_dir: str) -> rd.Dataset:
                 ),
             }
         )
-        return tag_partition(
-            partial_group_agg(
-                t,
-                keys=["user_id"],
-                aggs=[("has_click", "max"), ("has_purchase", "max")],
-            ),
-            ["user_id"],
+        return partial_group_agg(
+            t,
+            keys=["user_id"],
+            aggs=[("has_click", "max"), ("has_purchase", "max")],
         )
 
     def combine(group: pa.Table) -> pa.Table:
@@ -1938,8 +1778,11 @@ def buyers_intersect(sf_dir: str) -> rd.Dataset:
         )
         return g.filter(both).select(["user_id"])
 
-    return ds.map_batches(partial, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
+    return keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["user_id"],
+        combine,
+        _raw_parts(sf_dir, "events"),
     )
 
 
@@ -2035,13 +1878,7 @@ def region_rollup(sf_dir: str) -> pa.Table:
 # -------------------------------------------------------------------------
 
 def orders_above_cust_avg(sf_dir: str) -> rd.Dataset:
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    n_parts = _raw_parts(sf_dir, "orders")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["o_custkey"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         price_c = cents(group["o_totalprice"])
@@ -2061,54 +1898,32 @@ def orders_above_cust_avg(sf_dir: str) -> rd.Dataset:
         keep = pc.greater(pc.multiply(price_c, n), sum_c)
         return group.select(["o_orderkey", "o_custkey", "o_totalprice"]).filter(keep)
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("__pp").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return keyed_exchange(ds, ["o_custkey"], combine, _raw_parts(sf_dir, "orders"))
 
 
 # -------------------------------------------------------------------------
 # order_priority_returned — EXISTS semi-join (TPC-H-Q4 shape): count orders
-# per priority that have at least one returned ('R') lineitem. Both sides
-# are hash-bucketed on the join key and unioned into ONE exchange; inside a
-# bucket the semi-join is a vectorized is_in mask. The probe side ships
-# only per-batch-distinct keys, the build side only (key, priority) — no
-# full-row join, and the per-bucket outputs are 5-row count partials.
+# per priority that have at least one returned ('R') lineitem. ONE
+# keyed_join exchange on the order key; inside a bucket the semi-join is a
+# vectorized is_in mask. The probe side ships only per-batch-distinct keys,
+# the build side only (key, priority) — no full-row join, and the
+# per-bucket outputs are 5-row count partials.
 # -------------------------------------------------------------------------
 
 def order_priority_returned(sf_dir: str) -> pa.Table:
-    from .agg import tag_partition
-
-    n_parts = _raw_parts(sf_dir, "orders", "lineitem")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "__k": pc.cast(batch["o_orderkey"], pa.int64()),
-                "o_orderpriority": batch["o_orderpriority"],
-                "__side": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-        return tag_partition(t, ["__k"], n_parts)
-
-    def tag_li(batch: pa.Table) -> pa.Table:
+    def returned(batch: pa.Table) -> pa.Table:
         keys = pc.unique(
             batch.filter(pc.equal(batch["l_returnflag"], "R"))["l_orderkey"]
         )
-        t = pa.table(
-            {
-                "__k": pc.cast(keys, pa.int64()),
-                "o_orderpriority": pa.nulls(len(keys), pa.string()),
-                "__side": pa.array([1] * len(keys), pa.int8()),
-            }
-        )
-        return tag_partition(t, ["__k"], n_parts)
+        return pa.table({"l_orderkey": keys})
 
-    def combine(group: pa.Table) -> pa.Table:
-        probe = group.filter(pc.equal(group["__side"], 1))["__k"]
-        left = group.filter(pc.equal(group["__side"], 0))
-        hit = left.filter(pc.is_in(left["__k"], value_set=probe.combine_chunks()))
+    def combine(od: pa.Table, probe: pa.Table) -> pa.Table:
+        hit = od.filter(
+            pc.is_in(od["o_orderkey"], value_set=probe["l_orderkey"].combine_chunks())
+        )
         t = pa.table(
             {
                 "o_orderpriority": hit["o_orderpriority"],
@@ -2120,10 +1935,11 @@ def order_priority_returned(sf_dir: str) -> pa.Table:
         )
 
     partials = collect(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-        .union(li.map_batches(tag_li, batch_format="pyarrow"))
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
+        keyed_join(
+            orders, li.map_batches(returned, batch_format="pyarrow"),
+            ["o_orderkey"], ["l_orderkey"], combine,
+            n_parts=_raw_parts(sf_dir, "orders", "lineitem"),
+        )
     )
     if partials is None:
         return pa.table(
@@ -2141,56 +1957,26 @@ def order_priority_returned(sf_dir: str) -> pa.Table:
 
 # -------------------------------------------------------------------------
 # parts_never_returned_heavy — NOT EXISTS anti-join: parts with no returned
-# ('R') lineitem of quantity > 45. Same bucketed union exchange as the
-# semi-join above with the mask inverted; every part row rides the
-# exchange exactly once, the probe side only as per-batch-distinct keys.
+# ('R') lineitem of quantity > 45: the keyed_join exchange's pyarrow
+# left-anti join; every part row rides the exchange exactly once, the probe
+# side only as per-batch-distinct keys.
 # -------------------------------------------------------------------------
 
 def parts_never_returned_heavy(sf_dir: str) -> rd.Dataset:
-    from .agg import tag_partition
-
-    n_parts = _raw_parts(sf_dir, "part", "lineitem")
     part = _read(sf_dir, "part", ["p_partkey", "p_name"])
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_returnflag", "l_quantity"])
 
-    def tag_part(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "__k": pc.cast(batch["p_partkey"], pa.int64()),
-                "p_name": batch["p_name"],
-                "__side": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-        return tag_partition(t, ["__k"], n_parts)
-
-    def tag_li(batch: pa.Table) -> pa.Table:
+    def heavy_returns(batch: pa.Table) -> pa.Table:
         m = pc.and_(
             pc.equal(batch["l_returnflag"], "R"),
             pc.greater(batch["l_quantity"], pa.scalar(45.0)),
         )
-        keys = pc.unique(batch.filter(m)["l_partkey"])
-        t = pa.table(
-            {
-                "__k": pc.cast(keys, pa.int64()),
-                "p_name": pa.nulls(len(keys), pa.string()),
-                "__side": pa.array([1] * len(keys), pa.int8()),
-            }
-        )
-        return tag_partition(t, ["__k"], n_parts)
+        return pa.table({"l_partkey": pc.unique(batch.filter(m)["l_partkey"])})
 
-    def combine(group: pa.Table) -> pa.Table:
-        probe = group.filter(pc.equal(group["__side"], 1))["__k"]
-        left = group.filter(pc.equal(group["__side"], 0))
-        miss = left.filter(
-            pc.invert(pc.is_in(left["__k"], value_set=probe.combine_chunks()))
-        )
-        return pa.table({"p_partkey": miss["__k"], "p_name": miss["p_name"]})
-
-    return (
-        part.map_batches(tag_part, batch_format="pyarrow")
-        .union(li.map_batches(tag_li, batch_format="pyarrow"))
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
+    return keyed_join(
+        part, li.map_batches(heavy_returns, batch_format="pyarrow"),
+        ["p_partkey"], ["l_partkey"], "left anti",
+        n_parts=_raw_parts(sf_dir, "part", "lineitem"),
     )
 
 
@@ -2199,9 +1985,9 @@ def parts_never_returned_heavy(sf_dir: str) -> rd.Dataset:
 # survives, customers with no orders emit n_orders = 0. The orders side is
 # reduced to per-key partial counts BEFORE the join (two-phase aggregate),
 # so the outer join's shuffle moves one tiny count row per active
-# customer, never raw order rows; partitions scale with cluster size.
-# Reference analog: the per-project document-count listing
-# (/root/reference/backend/src/main.py:545-575) which LEFT-joins projects
+# customer, never raw order rows; partitions scale with the tables.
+# Reference analog: the per-project document-count listing (the
+# reference's backend/src/main.py:545-575) which LEFT-joins projects
 # to their documents so empty projects still render.
 # -------------------------------------------------------------------------
 
@@ -2209,7 +1995,6 @@ def cust_order_counts(
     sf_dir: str, broadcast_rows: int = 5_000_000
 ) -> rd.Dataset:
     import numpy as np
-    import ray
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
@@ -2227,61 +2012,41 @@ def cust_order_counts(
         orders, keys=["o_custkey"], partial=partial, sum_cols=["n"]
     )
 
-    cust_rows = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
-    if cust_rows <= broadcast_rows:
-        # broadcast path: the reduced count table (≤ one row per customer)
-        # is collected once and probed map-side — the LEFT OUTER semantics
-        # fall out of the searchsorted miss -> 0
-        cnt_t = collect(counts)
-        if cnt_t is not None:
-            cnt_t = cnt_t.sort_by("o_custkey")
-            okeys = cnt_t["o_custkey"].to_numpy(zero_copy_only=False)
-            ovals = cnt_t["n"].to_numpy(zero_copy_only=False)
-        else:
-            okeys = np.empty(0, dtype=np.int64)
-            ovals = np.empty(0, dtype=np.int64)
-
-        def probe(batch: pa.Table) -> pa.Table:
-            k = batch["c_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(okeys, k)
-            pos_c = np.minimum(pos, max(len(okeys) - 1, 0))
-            hit = (okeys[pos_c] == k) if len(okeys) else np.zeros(len(k), bool)
-            n = np.where(hit, ovals[pos_c] if len(okeys) else 0, 0)
-            return pa.table(
-                {
-                    "c_custkey": pc.cast(batch["c_custkey"], pa.int64()),
-                    "n_orders": pa.array(n, pa.int64()),
-                }
-            )
-
-        return cust.map_batches(probe, batch_format="pyarrow")
-
-    # scale path: native distributed left-outer join. Partition count is
-    # sized so every partition holds millions of key rows — Ray's join
-    # aggregator builds a schema-less table for a right partition that
-    # received zero rows (crashes acero), which only tiny inputs can hit.
-    rows = cust_rows + pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_parts = max(8, min(2 * cpus, rows // 2_000_000 + 1))
-    joined = cust.join(
-        counts,
-        join_type="left_outer",
-        num_partitions=n_parts,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
+    def probe(batch: pa.Table, cnt: pa.Table | None) -> pa.Table:
+        # LEFT OUTER by searchsorted over the key-sorted (key, n) count
+        # rows: a miss -> 0
+        k = batch["c_custkey"].to_numpy(zero_copy_only=False)
+        n = np.zeros(len(k), dtype=np.int64)
+        if cnt is not None:
+            okeys = cnt["o_custkey"].to_numpy(zero_copy_only=False)
+            pos = np.minimum(np.searchsorted(okeys, k), len(okeys) - 1)
+            hit = okeys[pos] == k
+            n[hit] = cnt["n"].to_numpy(zero_copy_only=False)[pos[hit]]
         return pa.table(
             {
                 "c_custkey": pc.cast(batch["c_custkey"], pa.int64()),
-                "n_orders": pc.fill_null(
-                    pc.cast(batch["n"], pa.int64()), pa.scalar(0, pa.int64())
-                ),
+                "n_orders": pa.array(n, pa.int64()),
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    cust_rows = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
+    if cust_rows <= broadcast_rows:
+        # broadcast path: the reduced count table (≤ one row per customer)
+        # is collected once and probed map-side
+        cnt_t = collect(counts)
+        cnt_t = None if cnt_t is None else cnt_t.sort_by("o_custkey")
+        return cust.map_batches(
+            lambda b: probe(b, cnt_t), batch_format="pyarrow"
+        )
+
+    # scale path: one keyed_join exchange; each bucket probes its own counts
+    def join_bucket(c: pa.Table, cnt: pa.Table) -> pa.Table:
+        return probe(c, cnt.sort_by("o_custkey") if cnt.num_rows else None)
+
+    return keyed_join(
+        cust, counts, ["c_custkey"], ["o_custkey"], join_bucket,
+        n_parts=_raw_parts(sf_dir, "customer", "orders"),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -2291,15 +2056,13 @@ def cust_order_counts(
 # counts before the join (two-phase aggregate), so the outer join moves
 # one count row per active user. Small sides merge driver-side via one
 # arrow full-outer join (both inputs already reduced + under the
-# threshold); at scale the native distributed full_outer join runs with
-# partitions sized so none can be empty (see cust_order_counts note).
+# threshold); at scale the same arrow join runs per keyed_join bucket.
 # -------------------------------------------------------------------------
 
 def user_customer_reconcile(
     sf_dir: str, broadcast_rows: int = 5_000_000
 ) -> pa.Table | rd.Dataset:
     import numpy as np
-    import ray
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     events = _read(sf_dir, "events", ["user_id"])
@@ -2319,22 +2082,21 @@ def user_customer_reconcile(
         events, keys=["key"], partial=partial, sum_cols=["n_events"]
     )
 
-    cust_rows = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
-    ev_rows = pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
-    if cust_rows <= broadcast_rows and ev_rows <= broadcast_rows:
-        cnt_t = collect(counts)
-        if cnt_t is None:
+    def reconcile(cnt_t: pa.Table | None, cust_t: pa.Table | None) -> pa.Table:
+        if cnt_t is None or cnt_t.num_rows == 0:
             cnt_t = pa.table(
                 {
                     "key": pa.array([], pa.int64()),
                     "n_events": pa.array([], pa.int64()),
                 }
             )
-        cust_t = collect(cust)
         if cust_t is None:
             cust_t = pa.table({"c_custkey": pa.array([], pa.int64())})
-        cust_t = cust_t.append_column(
-            "__c", pa.array(np.ones(cust_t.num_rows, dtype=np.int8))
+        cust_t = pa.table(
+            {
+                "c_custkey": pc.cast(cust_t["c_custkey"], pa.int64()),
+                "__c": pa.array(np.ones(cust_t.num_rows, dtype=np.int8)),
+            }
         )
         j = cnt_t.join(
             cust_t,
@@ -2355,42 +2117,14 @@ def user_customer_reconcile(
             }
         )
 
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_parts = max(8, min(2 * cpus, (cust_rows + ev_rows) // 2_000_000 + 1))
-
-    def tag_cust(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": pc.cast(batch["c_custkey"], pa.int64()),
-                "__c": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
-            }
-        )
-
-    joined = counts.join(
-        cust.map_batches(tag_cust, batch_format="pyarrow"),
-        join_type="full_outer",
-        num_partitions=n_parts,
-        on=("key",),
-        right_on=("c_custkey",),
+    cust_rows = pq.read_metadata(f"{sf_dir}/customer.parquet").num_rows
+    ev_rows = pq.read_metadata(f"{sf_dir}/events.parquet").num_rows
+    if cust_rows <= broadcast_rows and ev_rows <= broadcast_rows:
+        return reconcile(collect(counts), collect(cust))
+    return keyed_join(
+        counts, cust, ["key"], ["c_custkey"], reconcile,
+        n_parts=_raw_parts(sf_dir, "customer", "events"),
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # Ray's join coalesces left/right key values into the left key
-        # column and drops the right one
-        return pa.table(
-            {
-                "key": pc.cast(batch["key"], pa.int64()),
-                "n_events": pc.fill_null(
-                    pc.cast(batch["n_events"], pa.int64()),
-                    pa.scalar(0, pa.int64()),
-                ),
-                "is_customer": pc.fill_null(
-                    pc.equal(batch["__c"], pa.scalar(1, pa.int8())), False
-                ),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 # -------------------------------------------------------------------------
@@ -2408,26 +2142,11 @@ def user_customer_reconcile(
 def funnel_counts(sf_dir: str) -> pa.Table:
     import numpy as np
 
-    from .agg import collect, tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     INF = np.int64(2**62)
 
     def combine(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "s1": pa.array([], pa.int64()),
-                "s2": pa.array([], pa.int64()),
-                "s3": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
         t = group.sort_by([("user_id", "ascending"), ("ts", "ascending")])
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -2452,9 +2171,7 @@ def funnel_counts(sf_dir: str) -> pa.Table:
         )
 
     partials = collect(
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
+        keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
     )
     tot = [0, 0, 0]
     if partials is not None:
@@ -2466,6 +2183,40 @@ def funnel_counts(sf_dir: str) -> pa.Table:
             "users": pa.array(tot, pa.int64()),
         }
     )
+
+
+def _hi_qty_pairs(batch: pa.Table, min_qty: int) -> pa.Table:
+    """(order key, supplier) of the lineitems with quantity >= min_qty."""
+    hi = batch.filter(pc.greater_equal(batch["l_quantity"], min_qty))
+    return pa.table(
+        {
+            "k": pc.cast(hi["l_orderkey"], pa.int64()),
+            "supp": pc.cast(hi["l_suppkey"], pa.int64()),
+        }
+    )
+
+
+def _trade_edges(od: pa.Table, li: pa.Table) -> pa.Table:
+    """Distinct (cust, supp) edges of one keyed_join bucket of orders and
+    ``_hi_qty_pairs``. Orderkeys are unique and every lineitem's order
+    hashes to its bucket — but an ORPHAN lineitem (l_orderkey absent from
+    orders) would silently join to the wrong customer: fail loud instead
+    (validate_refs exists to find such rows first)."""
+    import numpy as np
+
+    if li.num_rows == 0:
+        return pa.table(
+            {"cust": pa.array([], pa.int64()), "supp": pa.array([], pa.int64())}
+        )
+    od = od.sort_by([("o_orderkey", "ascending")])
+    ok = od["o_orderkey"].to_numpy(zero_copy_only=False)
+    oc = od["o_custkey"].to_numpy(zero_copy_only=False)
+    lk = li["k"].to_numpy(zero_copy_only=False)
+    pos = np.minimum(np.searchsorted(ok, lk), max(len(ok) - 1, 0))
+    if len(ok) == 0 or not np.array_equal(ok[pos], lk):
+        raise ValueError("lineitem references missing orderkey")
+    t = pa.table({"cust": pa.array(oc[pos], pa.int64()), "supp": li["supp"]})
+    return t.group_by(["cust", "supp"]).aggregate([])
 
 
 # -------------------------------------------------------------------------
@@ -2590,25 +2341,15 @@ def trade_degree_hist(
 
     Both plans produce identical tables (equality-tested in
     tests/test_range_rank_ops.py)."""
-    import functools as _ft
-
     import numpy as np
 
-    from .agg import collect, scaled_partitions, tag_partition
+    from .agg import scaled_partitions
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_quantity"])
-    n_parts = _raw_parts(sf_dir, "orders", "lineitem")
 
     def hist_partial(edges: pa.Table) -> pa.Table:
         """All edges of each cust co-located: distinct -> degree -> hist."""
-        if edges.num_rows == 0 or "cust" not in edges.column_names:
-            return pa.table(
-                {
-                    "degree": pa.array([], pa.int64()),
-                    "n_customers": pa.array([], pa.int64()),
-                }
-            )
         g = edges.select(["cust", "supp"]).group_by(["cust", "supp"]).aggregate([])
         deg = g.group_by(["cust"]).aggregate([("supp", "count")])
         h = deg.select(["supp_count"]).group_by(["supp_count"]).aggregate(
@@ -2633,18 +2374,11 @@ def trade_degree_hist(
         out = out.rename_columns(["degree", "n_customers"])
         return out.sort_by([("degree", "ascending")])
 
-    def hi_pairs(batch: pa.Table) -> pa.Table:
-        hi = batch.filter(pc.greater_equal(batch["l_quantity"], min_qty))
-        return pa.table(
-            {
-                "k": pc.cast(hi["l_orderkey"], pa.int64()),
-                "supp": pc.cast(hi["l_suppkey"], pa.int64()),
-            }
-        )
-
     # one scan of lineitem: the filtered pairs are materialized, counted
     # from block metadata, and read by whichever plan the count picks
-    hi_ds = lineitem.map_batches(hi_pairs, batch_format="pyarrow").materialize()
+    hi_ds = lineitem.map_batches(
+        _hi_qty_pairs, fn_kwargs={"min_qty": min_qty}, batch_format="pyarrow"
+    ).materialize()
     n_hi = hi_ds.count()
     if n_hi <= broadcast_rows_limit:
         import ray
@@ -2656,7 +2390,6 @@ def trade_degree_hist(
         s = ht["supp"].to_numpy(zero_copy_only=False)
         order_idx = np.argsort(k, kind="stable")
         ref = ray.put((k[order_idx], s[order_idx]))
-        edge_parts = scaled_partitions(n_hi)
 
         def pairs(batch: pa.Table) -> pa.Table:
             k_s, s_s = ray.get(ref)
@@ -2684,70 +2417,16 @@ def trade_degree_hist(
                 }
             )
             # batch-local dedup: the exchange carries distinct pairs only
-            t = t.group_by(["cust", "supp"]).aggregate([])
-            return tag_partition(t, ["cust"], edge_parts)
+            return t.group_by(["cust", "supp"]).aggregate([])
 
-        parts = collect(
-            orders.map_batches(pairs, batch_format="pyarrow")
-            .groupby("__pp")
-            .map_groups(hist_partial, batch_format="pyarrow")
+        edges = orders.map_batches(pairs, batch_format="pyarrow")
+    else:
+        edges = keyed_join(
+            orders, hi_ds, ["o_orderkey"], ["k"], _trade_edges,
+            n_parts=_raw_parts(sf_dir, "orders", "lineitem"),
         )
-        return finish(parts)
-
-    def tag_o(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "k": pc.cast(batch["o_orderkey"], pa.int64()),
-                "v": pc.cast(batch["o_custkey"], pa.int64()),
-                "kind": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-
-    def tag_l(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "k": batch["k"],
-                "v": batch["supp"],
-                "kind": pa.array([1] * batch.num_rows, pa.int8()),
-            }
-        )
-
-    def add_pp(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["k"], n_parts)
-
-    tagged = (
-        orders.map_batches(tag_o, batch_format="pyarrow")
-        .union(hi_ds.map_batches(tag_l, batch_format="pyarrow"))
-        .map_batches(add_pp, batch_format="pyarrow")
-    )
-
-    def edges_of(group: pa.Table) -> pa.Table:
-        kind = group["kind"]
-        li = group.filter(pc.equal(kind, 1))
-        if li.num_rows == 0:
-            return pa.table(
-                {"cust": pa.array([], pa.int64()), "supp": pa.array([], pa.int64())}
-            )
-        od = group.filter(pc.equal(kind, 0)).sort_by([("k", "ascending")])
-        ok = od["k"].to_numpy(zero_copy_only=False)
-        oc = od["v"].to_numpy(zero_copy_only=False)
-        lk = li["k"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(ok, lk), max(len(ok) - 1, 0))
-        if len(ok) == 0 or not np.array_equal(ok[pos], lk):
-            raise ValueError(
-                "trade_degree_hist: lineitem references missing orderkey"
-            )
-        t = pa.table({"cust": pa.array(oc[pos], pa.int64()), "supp": li["v"]})
-        return t.group_by(["cust", "supp"]).aggregate([])
-
-    edges = tagged.groupby("__pp").map_groups(edges_of, batch_format="pyarrow")
-
     parts = collect(
-        edges.map_batches(
-            _ft.partial(tag_partition, keys=["cust"]), batch_format="pyarrow"
-        )
-        .groupby("__pp")
-        .map_groups(hist_partial, batch_format="pyarrow")
+        keyed_exchange(edges, ["cust"], hist_partial, scaled_partitions(n_hi))
     )
     return finish(parts)
 
@@ -2766,13 +2445,7 @@ def trade_degree_hist(
 def user_last3_sum(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -2783,16 +2456,6 @@ def user_last3_sum(sf_dir: str) -> rd.Dataset:
             ]
         )
         n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts": pa.array([], pa.timestamp("us")),
-                    "w3_count": pa.array([], pa.int64()),
-                    "w3_sum_c": pa.array([], pa.int64()),
-                }
-            )
         u = t["user_id"].to_numpy(zero_copy_only=False)
         v_c = cents(t["value"]).to_numpy(zero_copy_only=False)
         i = np.arange(n, dtype=np.int64)
@@ -2813,11 +2476,7 @@ def user_last3_sum(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------
@@ -2825,9 +2484,9 @@ def user_last3_sum(sf_dir: str) -> rd.Dataset:
 # the count and exact-cents sum of the matching user's events with
 # ts in [o_orderdate, o_orderdate + 7 days). The reference has no interval
 # joins (SURVEY §2.4: "no range/as-of joins") — like orders_asof this is a
-# custom-operator composition: tag-union both tables into ONE dataset keyed
-# by the join key (user_id = o_custkey), ONE hash exchange, and a fully
-# vectorized interval probe inside map_groups: both window bounds are
+# custom-operator composition: ONE keyed_join exchange on the join key
+# (user_id = o_custkey) and a fully vectorized interval probe per bucket:
+# both window bounds are
 # searchsorted probes on a composite key_rank * OFFSET + relative_ts axis
 # (OFFSET > ts span + window, so a window can never straddle two keys), and
 # the windowed sum is a prefix-sum difference on int64 cents. LEFT
@@ -2842,71 +2501,35 @@ _RANGE_WINDOW_US = 7 * 24 * 3_600_000_000  # 7 days
 def orders_events_window(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     events = _read(sf_dir, "events", ["user_id", "ts", "value"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
-    n_parts = _raw_parts(sf_dir, "events", "orders")
 
-    def tag_events(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(batch["user_id"], pa.int64()),
-                "t": batch["ts"],
-                "kind": pa.array([1] * n, pa.int8()),
-                "v_c": cents(batch["value"]),
-                "o_orderkey": pa.nulls(n, pa.int64()),
-            }
-        )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(batch["o_custkey"], pa.int64()),
-                "t": batch["o_orderdate"],
-                "kind": pa.array([0] * n, pa.int8()),
-                "v_c": pa.nulls(n, pa.int64()),
-                "o_orderkey": pc.cast(batch["o_orderkey"], pa.int64()),
-            }
-        )
-
-    def add_pp(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["key"], n_parts)
-
-    tagged = (
-        events.map_batches(tag_events, batch_format="pyarrow")
-        .union(orders.map_batches(tag_orders, batch_format="pyarrow"))
-        .map_batches(add_pp, batch_format="pyarrow")
-    )
-
-    def combine(group: pa.Table) -> pa.Table:
-        kind = group["kind"]
-        od = group.filter(pc.equal(kind, 0)).sort_by(
-            [("key", "ascending"), ("t", "ascending"), ("o_orderkey", "ascending")]
-        )
-        empty = pa.table(
-            {
-                "o_orderkey": pa.array([], pa.int64()),
-                "o_custkey": pa.array([], pa.int64()),
-                "o_orderdate": pa.array([], pa.timestamp("us")),
-                "n_events": pa.array([], pa.int64()),
-                "sum_value_c": pa.array([], pa.int64()),
-            }
-        )
+    def combine(od: pa.Table, ev: pa.Table) -> pa.Table:
         if od.num_rows == 0:
-            return empty
-        ev = group.filter(pc.equal(kind, 1)).sort_by(
-            [("key", "ascending"), ("t", "ascending")]
+            return pa.table(
+                {
+                    "o_orderkey": pa.array([], pa.int64()),
+                    "o_custkey": pa.array([], pa.int64()),
+                    "o_orderdate": pa.array([], pa.timestamp("us")),
+                    "n_events": pa.array([], pa.int64()),
+                    "sum_value_c": pa.array([], pa.int64()),
+                }
+            )
+        od = od.sort_by(
+            [
+                ("o_custkey", "ascending"),
+                ("o_orderdate", "ascending"),
+                ("o_orderkey", "ascending"),
+            ]
         )
-        o_key = od["key"].to_numpy(zero_copy_only=False)
-        o_ts = pc.cast(od["t"], pa.int64()).to_numpy(zero_copy_only=False)
+        o_key = od["o_custkey"].to_numpy(zero_copy_only=False)
+        o_ts = pc.cast(od["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
         n_o = len(o_key)
         if ev.num_rows:
-            e_key = ev["key"].to_numpy(zero_copy_only=False)
-            e_ts = pc.cast(ev["t"], pa.int64()).to_numpy(zero_copy_only=False)
-            e_vc = ev["v_c"].to_numpy(zero_copy_only=False)
+            ev = ev.sort_by([("user_id", "ascending"), ("ts", "ascending")])
+            e_key = ev["user_id"].to_numpy(zero_copy_only=False)
+            e_ts = pc.cast(ev["ts"], pa.int64()).to_numpy(zero_copy_only=False)
+            e_vc = cents(ev["value"]).to_numpy(zero_copy_only=False)
             uniq = np.unique(np.concatenate([e_key, o_key]))
             e_r = np.searchsorted(uniq, e_key)
             o_r = np.searchsorted(uniq, o_key)
@@ -2943,14 +2566,17 @@ def orders_events_window(sf_dir: str) -> rd.Dataset:
         return pa.table(
             {
                 "o_orderkey": od["o_orderkey"],
-                "o_custkey": od["key"],
-                "o_orderdate": od["t"],
+                "o_custkey": od["o_custkey"],
+                "o_orderdate": od["o_orderdate"],
                 "n_events": pa.array(n_events, pa.int64()),
                 "sum_value_c": pa.array(sum_c, pa.int64()),
             }
         )
 
-    return tagged.groupby("__pp").map_groups(combine, batch_format="pyarrow")
+    return keyed_join(
+        orders, events, ["o_custkey"], ["user_id"], combine,
+        n_parts=_raw_parts(sf_dir, "events", "orders"),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -3100,26 +2726,13 @@ def order_percent_rank(sf_dir: str) -> rd.Dataset:
 def user_event_path(sf_dir: str, k: int = 5) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         t = group.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "path5": pa.array([], pa.string()),
-                }
-            )
         u = t["user_id"].to_numpy(zero_copy_only=False)
         i = np.arange(n, dtype=np.int64)
         is_start = np.concatenate([[True], u[1:] != u[:-1]])
@@ -3148,11 +2761,7 @@ def user_event_path(sf_dir: str, k: int = 5) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------
@@ -3170,13 +2779,7 @@ def user_event_path(sf_dir: str, k: int = 5) -> rd.Dataset:
 def event_transitions(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def pairs(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -3209,11 +2812,7 @@ def event_transitions(sf_dir: str) -> rd.Dataset:
             pt, keys=["prev_type", "next_type"], aggs=[("n_pairs", "sum")]
         )
 
-    partials = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    partials = keyed_exchange(ds, ["user_id"], pairs, _raw_parts(sf_dir, "events"))
     return grouped_sum(
         partials,
         keys=["prev_type", "next_type"],
@@ -3240,13 +2839,7 @@ _DAY_US = 86_400_000_000
 def user_retention(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def partial(group: pa.Table) -> pa.Table:
         t = group.sort_by([("user_id", "ascending"), ("ts", "ascending")])
@@ -3285,11 +2878,7 @@ def user_retention(sf_dir: str) -> rd.Dataset:
             pt, keys=["cohort_day", "day_offset"], aggs=[("n_users", "sum")]
         )
 
-    partials = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(partial, batch_format="pyarrow")
-    )
+    partials = keyed_exchange(ds, ["user_id"], partial, _raw_parts(sf_dir, "events"))
     return grouped_sum(
         partials,
         keys=["cohort_day", "day_offset"],
@@ -3303,8 +2892,8 @@ def user_retention(sf_dir: str) -> rd.Dataset:
 # propagation over the high-volume trade graph: customer and supplier
 # nodes, an edge where some max-quantity (l_quantity >= 50) lineitem of
 # the customer's order was filled by the supplier. Two stages:
-# (1) distributed edge build — lineitem and orders tag-union into ONE
-# hash exchange keyed by orderkey; inside a bucket suppkeys map to the
+# (1) distributed edge build — lineitem and orders meet in ONE keyed_join
+# exchange on orderkey; inside a bucket suppkeys map to the
 # order's custkey by searchsorted and (cust, supp) pairs dedup per bucket
 # before the (tiny) global distinct; (2) the iterative fixpoint in the
 # host_pagerank shape (links.py:118): the deduped edge list is
@@ -3325,74 +2914,17 @@ def trade_components(sf_dir: str, min_qty: int = 50, max_iters: int = 64) -> pa.
     import numpy as np
     import ray
 
-    from .agg import collect, tag_partition
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_quantity"])
-    n_parts = _raw_parts(sf_dir, "orders", "lineitem")
 
-    def tag_o(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "k": pc.cast(batch["o_orderkey"], pa.int64()),
-                "v": pc.cast(batch["o_custkey"], pa.int64()),
-                "kind": pa.array([0] * batch.num_rows, pa.int8()),
-            }
-        )
-
-    def tag_l(batch: pa.Table) -> pa.Table:
-        hi = batch.filter(pc.greater_equal(batch["l_quantity"], min_qty))
-        return pa.table(
-            {
-                "k": pc.cast(hi["l_orderkey"], pa.int64()),
-                "v": pc.cast(hi["l_suppkey"], pa.int64()),
-                "kind": pa.array([1] * hi.num_rows, pa.int8()),
-            }
-        )
-
-    def add_pp(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["k"], n_parts)
-
-    tagged = (
-        orders.map_batches(tag_o, batch_format="pyarrow")
-        .union(lineitem.map_batches(tag_l, batch_format="pyarrow"))
-        .map_batches(add_pp, batch_format="pyarrow")
-    )
-
-    def edges_of(group: pa.Table) -> pa.Table:
-        kind = group["kind"]
-        li = group.filter(pc.equal(kind, 1))
-        empty = pa.table(
-            {"cust": pa.array([], pa.int64()), "supp": pa.array([], pa.int64())}
-        )
-        if li.num_rows == 0:
-            return empty
-        od = group.filter(pc.equal(kind, 0)).sort_by([("k", "ascending")])
-        ok = od["k"].to_numpy(zero_copy_only=False)
-        oc = od["v"].to_numpy(zero_copy_only=False)
-        lk = li["k"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(ok, lk), max(len(ok) - 1, 0))
-        # orderkeys are unique and every lineitem's order hashes to this
-        # bucket — but an ORPHAN lineitem (l_orderkey absent from orders)
-        # would silently join to the wrong customer: fail loud instead
-        # (validate_refs exists to find such rows first)
-        if len(ok) == 0 or not np.array_equal(ok[pos], lk):
-            raise ValueError(
-                "trade_components: lineitem references missing orderkey"
-            )
-        t = pa.table(
-            {
-                "cust": pa.array(oc[pos], pa.int64()),
-                "supp": li["v"],
-            }
-        )
-        return t.group_by(["cust", "supp"]).aggregate([])
-
-    edges = (
-        tagged.groupby("__pp")
-        .map_groups(edges_of, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = keyed_join(
+        orders,
+        lineitem.map_batches(
+            _hi_qty_pairs, fn_kwargs={"min_qty": min_qty}, batch_format="pyarrow"
+        ),
+        ["o_orderkey"], ["k"], _trade_edges,
+        n_parts=_raw_parts(sf_dir, "orders", "lineitem"),
+    ).materialize()
     # the deduped edge list is far smaller than the raw exchange's
     # n_parts blocks — coalesce so each label-propagation round runs a
     # handful of tasks, not 256 near-empty ones (measured 12.4s -> ~4s at
@@ -3599,15 +3131,10 @@ def _lev_le1(a: str, b: str) -> bool:
 
 
 def fuzzy_name_pairs(sf_dir: str) -> pa.Table:
-    import hashlib
-
     import numpy as np
     import pandas as pd
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_name"])
-    n_parts = _raw_parts(sf_dir, "customer")
 
     def signatures(batch: pa.Table) -> pa.Table:
         s = batch["c_name"].to_pandas()
@@ -3637,9 +3164,6 @@ def fuzzy_name_pairs(sf_dir: str) -> pa.Table:
                 "name": pa.array(np.asarray(s, dtype=object)[idx], pa.string()),
             }
         )
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["nat", "sig"], n_parts)
 
     def pairs(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -3678,13 +3202,14 @@ def fuzzy_name_pairs(sf_dir: str) -> pa.Table:
             {"k1": pa.array(out1, pa.int64()), "k2": pa.array(out2, pa.int64())}
         )
 
-    verified = (
-        ds.map_batches(signatures, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(pairs, batch_format="pyarrow")
+    t = collect(
+        keyed_exchange(
+            ds.map_batches(signatures, batch_format="pyarrow"),
+            ["nat", "sig"],
+            pairs,
+            _raw_parts(sf_dir, "customer"),
+        )
     )
-    t = collect(verified)
     if t is None or t.num_rows == 0:
         return pa.table(
             {"k1": pa.array([], pa.int64()), "k2": pa.array([], pa.int64())}
@@ -3799,29 +3324,12 @@ def orders_cube(sf_dir: str) -> pa.Table:
 def event_value_delta(sf_dir: str) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     def combine(group: pa.Table) -> pa.Table:
         t = group.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts": pa.array([], pa.timestamp("us")),
-                    "delta_c": pa.array([], pa.int64()),
-                    "gap_us": pa.array([], pa.int64()),
-                }
-            )
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         v_c = cents(t["value"]).to_numpy(zero_copy_only=False)
@@ -3838,11 +3346,7 @@ def event_value_delta(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------
@@ -4016,13 +3520,7 @@ def pattern_users(
 ) -> rd.Dataset:
     import numpy as np
 
-    from .agg import tag_partition
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    n_parts = _raw_parts(sf_dir, "events")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return tag_partition(batch, ["user_id"], n_parts)
 
     a, b, c = pattern
 
@@ -4044,11 +3542,7 @@ def pattern_users(
         )
         return pa.table({"user_id": pa.array(np.unique(u[2:][hit]), pa.int64())})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, ["user_id"], combine, _raw_parts(sf_dir, "events"))
 
 
 # -------------------------------------------------------------------------

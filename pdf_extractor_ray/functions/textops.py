@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import struct
 import zlib
 
 import numpy as np
@@ -42,6 +41,17 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 
 def _read_docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+
+
+def _doc_parts(sf_dir: str, rows_per_doc: int = 1) -> int:
+    """``scaled_partitions`` for a keyed exchange of ~``rows_per_doc`` rows
+    per document of the corpus (footer metadata only)."""
+    import pyarrow.parquet as pq
+
+    from .agg import scaled_partitions
+
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
+    return scaled_partitions(n_docs * rows_per_doc)
 
 
 # -------------------------------------------------------------------------
@@ -182,9 +192,8 @@ def doc_fingerprint(sf_dir: str) -> rd.Dataset:
 
 # -------------------------------------------------------------------------
 # dedup_exact — exact text dedup, representative = min doc_id.
-# The shuffle key is an 8-byte hash of the text, not the text; within each
-# hash group the (vanishingly unlikely) collision is resolved by comparing
-# the md5, so semantics equal GROUP BY text.
+# The shuffle key is the 16-byte md5 of the text (as hex), not the text,
+# so semantics equal GROUP BY text up to an md5 collision.
 # -------------------------------------------------------------------------
 
 def snapshot_delta(sf_dir: str) -> pa.Table:
@@ -195,16 +204,15 @@ def snapshot_delta(sf_dir: str) -> pa.Table:
     harness: doc_id%10==0 deleted, doc_id%7==0 text revised, one new doc
     per doc_id%13==0 — production passes a second table; the dataflow is
     input-agnostic). Plan: both snapshots reduce to (doc_id, md5) rows —
-    payloads never cross the wire — tag-union ONE doc_id-hash exchange,
+    payloads never cross the wire — ONE doc_id keyed exchange,
     per-bucket vectorized classification by sorted-id membership +
     null-safe hash compare; the driver receives DIFF rows only (the
     changed fraction, small by assumption in an incremental crawl)."""
-    import functools as _ft
     import hashlib
 
     import numpy as np
 
-    from .agg import collect, tag_partition
+    from .agg import collect, keyed_exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
@@ -234,7 +242,7 @@ def snapshot_delta(sf_dir: str) -> pa.Table:
                 # collides once the corpus passes 1M documents)
                 b_ids.append(-(i + 1))
                 b_texts.append(("new " + t) if t is not None else None)
-        t = pa.table(
+        return pa.table(
             {
                 "doc_id": pa.array(a_ids + b_ids, pa.int64()),
                 "h": pa.array(a_h + _h(b_texts), pa.string()),
@@ -243,17 +251,8 @@ def snapshot_delta(sf_dir: str) -> pa.Table:
                 ),
             }
         )
-        return tag_partition(t, ["doc_id"])
 
     def diff_of(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "change": pa.array([], pa.string()),
-            }
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
         a = group.filter(pc.equal(group["kind"], 0)).sort_by(
             [("doc_id", "ascending")]
         )
@@ -291,9 +290,12 @@ def snapshot_delta(sf_dir: str) -> pa.Table:
         )
 
     out = collect(
-        ds.map_batches(tag_both, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(diff_of, batch_format="pyarrow")
+        keyed_exchange(
+            ds.map_batches(tag_both, batch_format="pyarrow"),
+            ["doc_id"],
+            diff_of,
+            _doc_parts(sf_dir, 2),
+        )
     )
     if out is None:
         return pa.table(
@@ -303,36 +305,17 @@ def snapshot_delta(sf_dir: str) -> pa.Table:
 
 
 def dedup_exact(sf_dir: str) -> rd.Dataset:
-    import pyarrow.parquet as pq
-
-    from .agg import scaled_partitions
+    from .agg import keyed_exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    n_parts = scaled_partitions(
-        pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    )
 
     def hash_stage(batch: pa.Table) -> pa.Table:
-        fps = [
-            hashlib.md5(t.encode("utf-8")).digest()
+        full = [
+            hashlib.md5(t.encode("utf-8")).hexdigest()
             for t in batch["text"].to_pylist()
         ]
-        h64 = np.asarray(
-            [struct.unpack("<q", fp[:8])[0] for fp in fps], dtype=np.int64
-        )
-        full = pa.array([fp.hex() for fp in fps], pa.string())
-        # coarse bucket of the text hash (count scaled to the corpus so a
-        # bucket fits a worker): the exchange must not group per distinct
-        # text (one Python group call per unique doc — catastrophic at
-        # corpus scale); the in-bucket arrow group_by on the full md5
-        # collapses every text group vectorized, which also resolves
-        # 64-bit prefix collisions exactly
         return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "__pp": pa.array(h64 % n_parts),
-                "full": full,
-            }
+            {"doc_id": batch["doc_id"], "full": pa.array(full, pa.string())}
         )
 
     def combine(group: pa.Table) -> pa.Table:
@@ -346,8 +329,17 @@ def dedup_exact(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    hashed = ds.map_batches(hash_stage, batch_format="pyarrow")
-    return hashed.groupby("__pp").map_groups(combine, batch_format="pyarrow")
+    # coarse buckets of the text hash (count scaled to the corpus so a
+    # bucket fits a worker): the exchange must not group per distinct text
+    # (one Python group call per unique doc — catastrophic at corpus
+    # scale); the in-bucket arrow group_by on the full md5 collapses every
+    # text group vectorized
+    return keyed_exchange(
+        ds.map_batches(hash_stage, batch_format="pyarrow"),
+        ["full"],
+        combine,
+        _doc_parts(sf_dir),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -1271,7 +1263,7 @@ def ngram_jaccard_pairs(
     from ONE boilerplate shingle)."""
     import pyarrow.parquet as pq
 
-    from .agg import scaled_partitions
+    from .agg import keyed_exchange, scaled_partitions
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     if n_buckets is None:
@@ -1344,26 +1336,20 @@ def ngram_jaccard_pairs(
         )
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        # collapse duplicate pairs within the batch, then tag each pair
-        # with a coarse hash partition: the pair-count combine runs as ONE
-        # pyarrow group_by per partition instead of Ray's per-group
-        # machinery — candidate pairs are mostly distinct, and a native
-        # groupby over millions of distinct keys measured >200x slower
-        # than 256 coarse groups each combined vectorized.
+        # collapse duplicate pairs within the batch; the pair-count combine
+        # then runs as ONE pyarrow group_by per hash bucket of pairs instead
+        # of Ray's per-group machinery — candidate pairs are mostly
+        # distinct, and a native groupby over millions of distinct keys
+        # measured >200x slower than 256 coarse groups each combined
+        # vectorized.
         t = batch.append_column(
             "cnt", pa.array(np.ones(batch.num_rows, dtype=np.int64))
         )
-        t = partial_group_agg(
+        return partial_group_agg(
             t,
             keys=["doc_a", "doc_b"],
             aggs=[("cnt", "sum"), ("n_a", "max"), ("n_b", "max")],
         )
-        a = np.asarray(t["doc_a"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        b = np.asarray(t["doc_b"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        pp = ((a * np.uint64(0x9E3779B97F4A7C15) ^ b) % np.uint64(256)).astype(
-            np.int64
-        )
-        return t.append_column("pp", pa.array(pp))
 
     def combine_partition(group: pa.Table) -> pa.Table:
         g = (
@@ -1396,10 +1382,11 @@ def ngram_jaccard_pairs(
     pairs = postings.groupby("bucket").map_groups(
         bucket_pairs, batch_format="pyarrow"
     )
-    return (
-        pairs.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("pp")
-        .map_groups(combine_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        pairs.map_batches(pair_partial, batch_format="pyarrow"),
+        ["doc_a", "doc_b"],
+        combine_partition,
+        _doc_parts(sf_dir),
     )
 
 
@@ -1569,12 +1556,7 @@ class _BoilerplateFilter:
 
 
 def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2) -> rd.Dataset:
-    from .agg import collect, scaled_partitions, tag_partition
-    import pyarrow.parquet as pq
-
-    n_parts = scaled_partitions(
-        pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    )
+    from .agg import collect, keyed_exchange
 
     def line_partial(batch: pa.Table) -> pa.Table:
         la = pc.split_pattern(batch["text"], pattern="\n").combine_chunks()
@@ -1593,11 +1575,7 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2) -> rd.Dataset:
                 "nd": pa.array(np.ones(d.num_rows, dtype=np.int64)),
             }
         )
-        return tag_partition(
-            partial_group_agg(t, keys=["line"], aggs=[("nd", "sum")]),
-            ["line"],
-            n_parts,
-        )
+        return partial_group_agg(t, keys=["line"], aggs=[("nd", "sum")])
 
     def frequent(group: pa.Table) -> pa.Table:
         g = partial_group_agg(
@@ -1609,9 +1587,12 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2) -> rd.Dataset:
 
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     boiler = collect(
-        docs.map_batches(line_partial, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(frequent, batch_format="pyarrow")
+        keyed_exchange(
+            docs.map_batches(line_partial, batch_format="pyarrow"),
+            ["line"],
+            frequent,
+            _doc_parts(sf_dir),
+        )
     )
     lines = (
         pa.array([], pa.string())
@@ -1987,13 +1968,10 @@ def decontaminate(sf_dir: str, pct: int = 10) -> rd.Dataset:
 
 
 def paragraph_dedup(sf_dir: str) -> rd.Dataset:
-    import pyarrow.parquet as pq
+    from .agg import keyed_exchange
 
-    from .agg import scaled_partitions, tag_partition
-
-    n_rows = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     # paragraph rows ≈ docs x ~10 paragraphs
-    n_parts = scaled_partitions(n_rows * 10)
+    n_parts = _doc_parts(sf_dir, 10)
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2003,7 +1981,7 @@ def paragraph_dedup(sf_dir: str) -> rd.Dataset:
         lens = np.diff(la.offsets.to_numpy(zero_copy_only=False))
         total = int(lens.sum())
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        t = pa.table(
+        return pa.table(
             {
                 "doc_id": pa.array(
                     np.repeat(
@@ -2016,7 +1994,6 @@ def paragraph_dedup(sf_dir: str) -> rd.Dataset:
                 "para": la.flatten(),
             }
         )
-        return tag_partition(t, ["para"], n_parts)
 
     def pick_winners(group: pa.Table) -> pa.Table:
         t = group.sort_by(
@@ -2028,15 +2005,6 @@ def paragraph_dedup(sf_dir: str) -> rd.Dataset:
         )
         para = t["para"].combine_chunks()
         n = len(para)
-        if n == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "ord": pa.array([], pa.int64()),
-                    "para": pa.array([], pa.string()),
-                    "keep": pa.array([], pa.bool_()),
-                }
-            )
         eq = pc.equal(para.slice(1), para.slice(0, n - 1))
         keep = np.concatenate(
             [[True], pc.invert(eq).to_numpy(zero_copy_only=False)]
@@ -2049,13 +2017,6 @@ def paragraph_dedup(sf_dir: str) -> rd.Dataset:
                 "para": pc.if_else(pa.array(keep), para, ""),
                 "keep": pa.array(keep),
             }
-        )
-
-    def retag(batch: pa.Table) -> pa.Table:
-        return tag_partition(
-            batch.select(["doc_id", "ord", "para", "keep"]),
-            ["doc_id"],
-            n_parts,
         )
 
     def rebuild(group: pa.Table) -> pa.Table:
@@ -2088,14 +2049,13 @@ def paragraph_dedup(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(pick_winners, batch_format="pyarrow")
-        .map_batches(retag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(rebuild, batch_format="pyarrow")
+    winners = keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["para"],
+        pick_winners,
+        n_parts,
     )
+    return keyed_exchange(winners, ["doc_id"], rebuild, n_parts)
 
 
 # -------------------------------------------------------------------------
@@ -2295,7 +2255,7 @@ def explode_paragraphs(sf_dir: str) -> rd.Dataset:
 # -------------------------------------------------------------------------
 
 def cap_per_source(sf_dir: str, cap: int = 50) -> rd.Dataset:
-    from .agg import tag_partition
+    from .agg import keyed_exchange
 
     ds = _read_docs(sf_dir, ["source", "doc_id"])
 
@@ -2321,16 +2281,11 @@ def cap_per_source(sf_dir: str, cap: int = 50) -> rd.Dataset:
         )
         return t.select(["source", "doc_id"]).filter(pa.array(rank < cap))
 
-    def prefilter(batch: pa.Table) -> pa.Table:
-        return tag_partition(_rank_filter(batch), ["source"])
-
-    def combine(group: pa.Table) -> pa.Table:
-        return _rank_filter(group.select(["source", "doc_id"]))
-
-    return (
-        ds.map_batches(prefilter, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(_rank_filter, batch_format="pyarrow"),
+        ["source"],
+        _rank_filter,
+        _doc_parts(sf_dir),
     )
 
 
@@ -2625,14 +2580,9 @@ def curation_summary(
     max_dup_line_pct: int = 10,
     max_top_bigram_pct: int = 8,
 ) -> pa.Table:
-    import pyarrow.parquet as pq
-
-    from .agg import collect, scaled_partitions
+    from .agg import collect, keyed_exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    n_parts = scaled_partitions(
-        pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    )
 
     def flag_stage(batch: pa.Table) -> pa.Table:
         n_chars, spaces, digits, _ = _quality_counters(batch["text"])
@@ -2656,34 +2606,20 @@ def curation_summary(
         bad_r = (n_dup * 100 > max_dup_line_pct * n_lines) | (
             top * 100 > max_top_bigram_pct * np.maximum(n_bg, 1)
         )
-        fps = [
-            hashlib.md5(t.encode("utf-8")).digest()
+        full = [
+            hashlib.md5(t.encode("utf-8")).hexdigest()
             for t in batch["text"].to_pylist()
         ]
-        h64 = np.asarray(
-            [struct.unpack("<q", fp[:8])[0] for fp in fps], dtype=np.int64
-        )
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
-                "__pp": pa.array(h64 % n_parts),
-                "full": pa.array([fp.hex() for fp in fps], pa.string()),
+                "full": pa.array(full, pa.string()),
                 "bad_q": pc.invert(good_q),
                 "bad_r": pa.array(bad_r),
             }
         )
 
     def combine(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "dropped_exact_dup": pa.array([], pa.int64()),
-                "dropped_quality": pa.array([], pa.int64()),
-                "dropped_repetition": pa.array([], pa.int64()),
-                "kept": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
         mins = group.group_by(["full"]).aggregate([("doc_id", "min")])
         lut = dict(
             zip(mins["full"].to_pylist(), mins["doc_id_min"].to_pylist())
@@ -2706,9 +2642,12 @@ def curation_summary(
         )
 
     partials = collect(
-        ds.map_batches(flag_stage, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(combine, batch_format="pyarrow")
+        keyed_exchange(
+            ds.map_batches(flag_stage, batch_format="pyarrow"),
+            ["full"],
+            combine,
+            _doc_parts(sf_dir),
+        )
     )
     rules = ["dropped_exact_dup", "dropped_quality", "dropped_repetition", "kept"]
     tot = {
@@ -3265,7 +3204,7 @@ def incremental_new_docs(
 ) -> rd.Dataset:
     import pyarrow.parquet as pq
 
-    from .agg import collect, scaled_partitions, tag_partition
+    from .agg import collect, keyed_exchange, scaled_partitions
 
     n_total = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     n_seen_est = max(1, n_total - n_total // mod)
@@ -3364,7 +3303,7 @@ def incremental_new_docs(
             hashlib.md5(t.encode("utf-8")).hexdigest()
             for t in seenb["text"].to_pylist()
         ]
-        out = pa.table(
+        return pa.table(
             {
                 "key": pa.array(
                     cands["key"].to_pylist() + skeys, pa.string()
@@ -3375,21 +3314,19 @@ def incremental_new_docs(
                 ),
             }
         )
-        return tag_partition(out, ["key"], scaled_partitions(n_total))
 
     def bucket_anti(group: pa.Table) -> pa.Table:
-        if group.num_columns == 0 or group.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
         is_seen = pc.equal(group["doc_id"], -1)
         seen_keys = pc.unique(group.filter(is_seen)["key"])
         cands = group.filter(pc.invert(is_seen))
         keep = pc.invert(pc.is_in(cands["key"], seen_keys))
         return pa.table({"doc_id": cands.filter(keep)["doc_id"]})
 
-    confirmed = (
-        ds.map_batches(union_rows, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(bucket_anti, batch_format="pyarrow")
+    confirmed = keyed_exchange(
+        ds.map_batches(union_rows, batch_format="pyarrow"),
+        ["key"],
+        bucket_anti,
+        scaled_partitions(n_total),
     )
     return definite.union(confirmed)
 
@@ -4411,13 +4348,15 @@ def validate_docs(sf_dir: str) -> pa.Table:
             }
         )
 
-    from .agg import tag_partition
+    from .agg import keyed_exchange
 
     dups = collect(
-        ds.map_batches(id_partial, batch_format="pyarrow")
-        .map_batches(lambda b: tag_partition(b, ["doc_id"]), batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(dup_count, batch_format="pyarrow")
+        keyed_exchange(
+            ds.map_batches(id_partial, batch_format="pyarrow"),
+            ["doc_id"],
+            dup_count,
+            _doc_parts(sf_dir),
+        )
     )
     total_dups = int(pc.sum(dups["violations"]).as_py() or 0) if dups is not None else 0
     out = pa.table(

@@ -365,18 +365,17 @@ def write_training_shards(
     offset table (doc_id, tok_start — ints only, ~16 B/row) BROADCASTS
     back up to ``broadcast_limit`` rows so each doc slices its own
     segments locally; past the limit it becomes a BUCKETED doc_id hash
-    JOIN (tag-union single exchange — the order_priority_returned plan —
-    text payloads hop once into their bucket, offsets probe by
-    searchsorted). Sequence assembly is then ONE keyed exchange of token
-    payloads grouped by seq_id — each window's segments meet exactly
-    once. Output rows: (seq_id, n_tokens, text). Returns a one-row
-    summary table (n_seqs, n_tokens)."""
+    JOIN (one ``keyed_join`` exchange: text payloads hop once into their
+    bucket, offsets probe by searchsorted). Sequence assembly is then ONE
+    keyed exchange of token payloads grouped by seq_id — each window's
+    segments meet exactly once. Output rows: (seq_id, n_tokens, text).
+    Returns a one-row summary table (n_seqs, n_tokens)."""
     import numpy as np
     import pyarrow.compute as pc
 
     import ray
 
-    from ..functions.agg import collect, scaled_partitions, tag_partition
+    from ..functions.agg import collect, keyed_exchange, keyed_join, scaled_partitions
     from ..functions.textops import prepare_training_ds
     from ..sources.pages import count_rows
     from .extract import read_extracted, run_checkpoint
@@ -424,57 +423,22 @@ def write_training_shards(
 
         seg_ds = docs.map_batches(segments, batch_format="pyarrow")
     else:
-        # scale path: bucketed join on doc_id — offsets (kind 0) and text
-        # payloads (kind 1) meet in their hash bucket, one exchange
-        n_buckets = scaled_partitions(n_meta)
-
-        def tag_meta(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "tok_start": batch["tok_start"],
-                    "text": pa.nulls(batch.num_rows, pa.string()),
-                    "kind": pa.array([0] * batch.num_rows, pa.int8()),
-                }
-            )
-            return tag_partition(t, ["doc_id"], n_buckets)
-
-        def tag_docs(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-                    "tok_start": pa.array([0] * batch.num_rows, pa.int64()),
-                    "text": pc.cast(batch["text"], pa.string()),
-                    "kind": pa.array([1] * batch.num_rows, pa.int8()),
-                }
-            )
-            return tag_partition(t, ["doc_id"], n_buckets)
-
-        tagged = meta_ds.map_batches(tag_meta, batch_format="pyarrow").union(
-            docs.map_batches(tag_docs, batch_format="pyarrow")
-        )
-
-        def join_segments(group: pa.Table) -> pa.Table:
-            if group.num_columns == 0 or group.num_rows == 0:
-                return pa.table(
-                    {
-                        "seq_id": pa.array([], pa.int64()),
-                        "seg_start": pa.array([], pa.int64()),
-                        "seg_text": pa.array([], pa.large_string()),
-                    }
-                )
-            m = group.filter(pc.equal(group["kind"], 0)).sort_by(
-                [("doc_id", "ascending")]
-            )
+        # scale path: bucketed join on doc_id — offsets and text payloads
+        # meet in their hash bucket, one exchange
+        def join_segments(meta: pa.Table, d: pa.Table) -> pa.Table:
+            if d.num_rows == 0:  # a bucket of offsets only
+                return _segments_table(pa.array([], pa.string()), [], budget)
+            m = meta.sort_by([("doc_id", "ascending")])
             return _winner_segments(
                 m["doc_id"].to_numpy(zero_copy_only=False),
                 m["tok_start"].to_numpy(zero_copy_only=False),
-                group.filter(pc.equal(group["kind"], 1)),
+                d,
                 budget,
             )
 
-        seg_ds = tagged.groupby("__pp").map_groups(
-            join_segments, batch_format="pyarrow"
+        seg_ds = keyed_join(
+            meta_ds, docs, ["doc_id"], ["doc_id"], join_segments,
+            n_parts=scaled_partitions(n_meta),
         )
 
     def assemble_bucket(group: pa.Table) -> pa.Table:
@@ -482,15 +446,6 @@ def write_training_shards(
         # call per seq_id measured ~60 s at 187k seqs — the per-group
         # Python killer): sort (seq_id, seg_start), cut at seq changes,
         # binary_join the segment texts per sequence
-        empty = pa.table(
-            {
-                "seq_id": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "text": pa.array([], pa.large_string()),
-            }
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
         g = group.sort_by(
             [("seq_id", "ascending"), ("seg_start", "ascending")]
         )
@@ -515,14 +470,8 @@ def write_training_shards(
             }
         )
 
-    n_seq_buckets = scaled_partitions(n_meta)
-    seqs = (
-        seg_ds.map_batches(
-            lambda b: tag_partition(b, ["seq_id"], n_seq_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("__pp")
-        .map_groups(assemble_bucket, batch_format="pyarrow")
+    seqs = keyed_exchange(
+        seg_ds, ["seq_id"], assemble_bucket, scaled_partitions(n_meta)
     )
     # idempotent re-run: clear stale shard files first (write_parquet
     # appends uniquely-named files; leftovers would double-count on read)

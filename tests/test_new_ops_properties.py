@@ -163,7 +163,9 @@ def test_normalize_text_idempotent(ray_session, tmp_path):
 
 def test_cust_order_counts_left_outer_zero(ray_session, tmp_path):
     """Customers without any order must survive the left-outer join with
-    n_orders = 0 (the null-fill path the synthetic tables may not hit)."""
+    n_orders = 0 (the null-fill path the synthetic tables may not hit), on
+    the broadcast probe and on the keyed_join scale path alike; with 4
+    customers most scale-path buckets hold one side only."""
     from pdf_extractor_ray.functions.relational import cust_order_counts
 
     d = tmp_path / "sf"
@@ -181,14 +183,15 @@ def test_cust_order_counts_left_outer_zero(ray_session, tmp_path):
         ),
         str(d / "orders.parquet"),
     )
-    out = (
-        cust_order_counts(str(d))
-        .to_pandas()
-        .sort_values("c_custkey")
-        .reset_index(drop=True)
-    )
-    assert list(out["c_custkey"]) == [1, 2, 3, 4]
-    assert list(out["n_orders"]) == [2, 0, 1, 0]
+    for br in (0, 5_000_000):
+        out = (
+            cust_order_counts(str(d), broadcast_rows=br)
+            .to_pandas()
+            .sort_values("c_custkey")
+            .reset_index(drop=True)
+        )
+        assert list(out["c_custkey"]) == [1, 2, 3, 4], br
+        assert list(out["n_orders"]) == [2, 0, 1, 0], br
 
 
 def test_filter_source_quality_drops_bad_domain(ray_session, tmp_path):
@@ -215,7 +218,7 @@ def test_filter_source_quality_drops_bad_domain(ray_session, tmp_path):
 
 
 def test_user_customer_reconcile_both_paths(ray_session, tmp_path):
-    """Native distributed full-outer and broadcast merge agree with each
+    """The keyed_join full-outer and the broadcast merge agree with each
     other and with a pandas gold, including both null sides (event-less
     customers, non-customer users)."""
     from pdf_extractor_ray.functions.relational import user_customer_reconcile

@@ -166,8 +166,9 @@ def test_ngram_jaccard_pairs_planted(ray_session, tmp_path):
 
 
 def test_shipping_priority_native_join_path(ray_session, con):
-    """The >broadcast-threshold fallback (two native hash joins) must
-    produce the same table as the broadcast path and the SQL oracle."""
+    """The >broadcast-threshold exchange path (two chained keyed_join
+    exchanges) must produce the same table as the broadcast path and the
+    SQL oracle."""
     import __ray_entry__ as E
     from pdf_extractor_ray.functions.relational import shipping_priority
 
