@@ -48,10 +48,15 @@ import ray.data as rd
 
 def collect(ds: "rd.Dataset") -> pa.Table | None:
     """Driver-side gather of a (small, pruned) dataset's blocks; None when
-    every block is empty. The ONE place the empty-input guard lives."""
+    every block is empty. The ONE place the empty-input guard lives. One
+    execution: ``to_arrow_refs`` runs a lazy dataset a second time, up to
+    its first block, to learn the schema."""
     import ray
+    from ray.data.block import BlockAccessor
 
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    refs = [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    tables = [t for t in tables if t.num_rows]
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="default")

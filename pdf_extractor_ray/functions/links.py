@@ -494,8 +494,6 @@ def messy_urls_batch(batch: pa.Table) -> pa.Table:
     target and differ only in case, default port, tracking params, trailing
     slash and fragment. Every branch is plain modular arithmetic so the
     DuckDB oracle rebuilds the identical strings."""
-    import numpy as np
-
     d = pc.cast(batch["doc_id"], pa.int64())
     dn = d.to_numpy(zero_copy_only=False)
     g = pa.array(dn // 4, pa.int64())

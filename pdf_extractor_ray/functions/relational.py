@@ -1506,8 +1506,6 @@ def quantile_sketch_check(sf_dir: str, quantiles=(25, 50, 75, 95)) -> pa.Table:
     in the closure) and asserts |rank/N - q/100| <= 0.02 — the sketch's
     documented ~n/K-per-batch rank error with headroom. Emits total_n so
     the oracle's data-derived column proves the engine saw every row."""
-    import numpy as np
-
     est_t = price_quantiles_sketch(sf_dir, quantiles)
     ests = dict(
         zip(est_t["q_pct"].to_pylist(), est_t["price_c_est"].to_pylist())
@@ -3175,7 +3173,6 @@ def fuzzy_name_pairs(sf_dir: str) -> pa.Table:
         n = t.num_rows
         if n < 2:
             return empty
-        import numpy as np
 
         nat = t["nat"].to_numpy(zero_copy_only=False)
         sig = t["sig"].to_pylist()
@@ -3694,10 +3691,7 @@ def events_dow_profile(sf_dir: str) -> rd.Dataset:
 
 
 def validate_refs(sf_dir: str) -> pa.Table:
-    import numpy as np
     import ray
-
-    from .agg import partial_group_agg
 
     cust_keys = pc.cast(
         collect(_read(sf_dir, "customer", ["c_custkey"]))["c_custkey"], pa.int64()

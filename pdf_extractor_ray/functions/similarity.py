@@ -21,9 +21,29 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from .agg import collect
+
 
 def _read_emb(sf_dir: str) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/embeddings.parquet")
+
+
+def _top_k(pruned: rd.Dataset, k: int) -> pa.Table:
+    """Driver-side top-k of the per-batch (vec_id, raw) candidates: raw
+    descending, vec_id ascending on ties, scores rounded to 4 places."""
+    allt = collect(pruned)
+    if allt is None:
+        return pa.table(
+            {"vec_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
+        )
+    raw = allt["raw"].to_numpy()
+    order = np.lexsort((allt["vec_id"].to_numpy(), -raw))[:k]
+    return pa.table(
+        {
+            "vec_id": pa.array(allt["vec_id"].to_numpy()[order], pa.int64()),
+            "score": pa.array(np.round(raw[order], 4), pa.float64()),
+        }
+    )
 
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -64,18 +84,7 @@ def cosine_topk(sf_dir: str, k: int = 10, query_vec_id: int = 0) -> pa.Table:
         )
 
     pruned = _read_emb(sf_dir).map_batches(score_batch, batch_format="pyarrow")
-    import ray
-
-    parts = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
-    allt = pa.concat_tables(parts)
-    raw = allt["raw"].to_numpy()
-    order = np.lexsort((allt["vec_id"].to_numpy(), -raw))[:k]
-    return pa.table(
-        {
-            "vec_id": pa.array(allt["vec_id"].to_numpy()[order], pa.int64()),
-            "score": pa.array(np.round(raw[order], 4), pa.float64()),
-        }
-    )
+    return _top_k(pruned, k)
 
 
 # -------------------------------------------------------------------------
@@ -172,22 +181,7 @@ def ann_lsh_topk(sf_dir: str, k: int = 10, query_vec_id: int = 0) -> pa.Table:
         )
 
     pruned = coded.map_batches(probe_and_score, batch_format="pyarrow")
-    import ray
-
-    parts = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {"vec_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-        )
-    allt = pa.concat_tables(parts)
-    raw = allt["raw"].to_numpy()
-    order = np.lexsort((allt["vec_id"].to_numpy(), -raw))[:k]
-    return pa.table(
-        {
-            "vec_id": pa.array(allt["vec_id"].to_numpy()[order], pa.int64()),
-            "score": pa.array(np.round(raw[order], 4), pa.float64()),
-        }
-    )
+    return _top_k(pruned, k)
 
 
 # -------------------------------------------------------------------------
@@ -292,22 +286,7 @@ def ann_ivf_topk(
     pruned = _read_emb(sf_dir).map_batches(
         assign_probe_score, batch_format="pyarrow"
     )
-    import ray
-
-    parts = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {"vec_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-        )
-    allt = pa.concat_tables(parts)
-    raw = allt["raw"].to_numpy()
-    order = np.lexsort((allt["vec_id"].to_numpy(), -raw))[:k]
-    return pa.table(
-        {
-            "vec_id": pa.array(allt["vec_id"].to_numpy()[order], pa.int64()),
-            "score": pa.array(np.round(raw[order], 4), pa.float64()),
-        }
-    )
+    return _top_k(pruned, k)
 
 
 # -------------------------------------------------------------------------
@@ -402,8 +381,6 @@ def ann_ivf_query(
     Identical results to ann_ivf_topk for the same quantizer/nprobe."""
     import os
 
-    import ray
-
     cent, _ = load_ivf_index(index_dir)
     qn = float(np.linalg.norm(q))
     if nprobe is None:
@@ -442,18 +419,7 @@ def ann_ivf_query(
         )
 
     pruned = rd.read_parquet(paths).map_batches(score, batch_format="pyarrow")
-    parts = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return empty
-    allt = pa.concat_tables(parts)
-    raw = allt["raw"].to_numpy()
-    order = np.lexsort((allt["vec_id"].to_numpy(), -raw))[:k]
-    return pa.table(
-        {
-            "vec_id": pa.array(allt["vec_id"].to_numpy()[order], pa.int64()),
-            "score": pa.array(np.round(raw[order], 4), pa.float64()),
-        }
-    )
+    return _top_k(pruned, k)
 
 
 _IVF_CACHE: dict[str, str] = {}  # sf_dir -> built index_dir (per process)
@@ -605,11 +571,9 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.95) -> pa.Table:
     are only formed within a bucket (plus the exact-cosine verify), so the
     all-pairs O(n^2) never materializes. Oracle: DuckDB self-join with
     list_cosine_similarity (see __ray_entry__.oracle_sql)."""
-    import ray
-
     pairs = _near_dup_pairs_ds(sf_dir, threshold=threshold)
-    parts = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-    if not parts:
+    out = collect(pairs)
+    if out is None:
         return pa.table(
             {
                 "vec_a": pa.array([], pa.int64()),
@@ -619,7 +583,6 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.95) -> pa.Table:
         )
     # a pair verified in k tables appears k times with an identical rounded
     # cosine; only VERIFIED pairs reach the driver, deduped here
-    out = pa.concat_tables(parts)
     out = out.group_by(["vec_a", "vec_b"]).aggregate([("cosine", "min")])
     out = pa.table(
         {
@@ -947,18 +910,15 @@ def knn_classify(
             }
         )
 
-    import ray
-
     pruned = _read_emb(sf_dir).map_batches(score_batch, batch_format="pyarrow")
-    parts = [t for t in ray.get(pruned.to_arrow_refs()) if t.num_rows]
-    if not parts:
+    allt = collect(pruned)
+    if allt is None:
         return pa.table(
             {
                 "vec_id": pa.array([], pa.int64()),
                 "pred_label": pa.array([], pa.int32()),
             }
         )
-    allt = pa.concat_tables(parts)
     qs = allt["qid"].to_numpy(zero_copy_only=False)
     vs = allt["vec_id"].to_numpy(zero_copy_only=False)
     ls = allt["label"].to_numpy(zero_copy_only=False)

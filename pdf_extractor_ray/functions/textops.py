@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from .agg import instance_stage, partial_group_agg, grouped_sum
+from .agg import collect, instance_stage, partial_group_agg, grouped_sum
 
 _ASCII_WS = " \t\n\r\f\v"
 _WS_RE = re.compile(r"[ \t\n\r\f\v]+")
@@ -153,6 +153,35 @@ def _quality_counters(
         pc.count_substring_regex(texts, pattern="[A-Z]"), pa.int64()
     )
     return n_chars, n_spaces, n_digits, n_upper
+
+
+def _quality_gate(
+    texts: pa.ChunkedArray | pa.Array,
+    min_chars: int,
+    max_chars: int,
+    min_space_pct: int,
+    max_digit_pct: int,
+) -> pa.Array:
+    """The quality gate as a keep mask, in the integer math the SQL oracles
+    share: min_chars <= n <= max_chars, spaces >= min_space_pct % of n,
+    digits <= max_digit_pct % of n."""
+    n, spaces, digits, _ = _quality_counters(texts)
+    return pc.and_(
+        pc.and_(
+            pc.and_(
+                pc.greater_equal(n, min_chars),
+                pc.less_equal(n, max_chars),
+            ),
+            pc.greater_equal(
+                pc.multiply(spaces, pa.scalar(100, pa.int64())),
+                pc.multiply(n, pa.scalar(min_space_pct, pa.int64())),
+            ),
+        ),
+        pc.less_equal(
+            pc.multiply(digits, pa.scalar(100, pa.int64())),
+            pc.multiply(n, pa.scalar(max_digit_pct, pa.int64())),
+        ),
+    )
 
 
 def quality_stats(sf_dir: str) -> rd.Dataset:
@@ -715,10 +744,10 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
     verified = emitted.groupby("__pb").map_groups(
         _verify_bucket, batch_format="pyarrow"
     )
-    tables = [t for t in ray.get(verified.to_arrow_refs()) if t.num_rows]
-    if not tables:
+    out = collect(verified)
+    if out is None:
         return empty
-    out = pa.concat_tables(tables).combine_chunks()
+    out = out.combine_chunks()
     return out.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
 
 
@@ -905,10 +934,8 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
         .groupby("bucket")
         .map_groups(bucket_pairs, batch_format="pyarrow")
     )
-    import ray
-
-    parts = [t for t in ray.get(verified.to_arrow_refs()) if t.num_rows]
-    if not parts:
+    out = collect(verified)
+    if out is None:
         return pa.table(
             {
                 "doc_a": pa.array([], pa.int64()),
@@ -918,7 +945,7 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
         )
     # a pair within <=3 bits can share up to 4 bands; dedup the small
     # verified set (identical hamming per duplicate)
-    out = pa.concat_tables(parts).combine_chunks()
+    out = out.combine_chunks()
     out = out.group_by(["doc_a", "doc_b"]).aggregate([("hamming", "min")])
     return pa.table(
         {
@@ -1002,22 +1029,8 @@ def quality_filter(
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        n, spaces, digits, _ = _quality_counters(batch["text"])
-        keep = pc.and_(
-            pc.and_(
-                pc.and_(
-                    pc.greater_equal(n, min_chars),
-                    pc.less_equal(n, max_chars),
-                ),
-                pc.greater_equal(
-                    pc.multiply(spaces, pa.scalar(100, pa.int64())),
-                    pc.multiply(n, pa.scalar(min_space_pct, pa.int64())),
-                ),
-            ),
-            pc.less_equal(
-                pc.multiply(digits, pa.scalar(100, pa.int64())),
-                pc.multiply(n, pa.scalar(max_digit_pct, pa.int64())),
-            ),
+        keep = _quality_gate(
+            batch["text"], min_chars, max_chars, min_space_pct, max_digit_pct
         )
         return batch.filter(keep).select(["doc_id"])
 
@@ -2585,23 +2598,7 @@ def curation_summary(
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def flag_stage(batch: pa.Table) -> pa.Table:
-        n_chars, spaces, digits, _ = _quality_counters(batch["text"])
-        good_q = pc.and_(
-            pc.and_(
-                pc.and_(
-                    pc.greater_equal(n_chars, 100),
-                    pc.less_equal(n_chars, 20000),
-                ),
-                pc.greater_equal(
-                    pc.multiply(spaces, pa.scalar(100, pa.int64())),
-                    pc.multiply(n_chars, pa.scalar(5, pa.int64())),
-                ),
-            ),
-            pc.less_equal(
-                pc.multiply(digits, pa.scalar(100, pa.int64())),
-                pc.multiply(n_chars, pa.scalar(20, pa.int64())),
-            ),
-        )
+        good_q = _quality_gate(batch["text"], 100, 20000, 5, 20)
         n_lines, n_dup, n_bg, top = _repetition_counts(batch)
         bad_r = (n_dup * 100 > max_dup_line_pct * n_lines) | (
             top * 100 > max_top_bigram_pct * np.maximum(n_bg, 1)
@@ -3508,9 +3505,9 @@ def mix_epochs(
 # sees n_parts rows, exclusive-scans them into row/token base offsets.
 # Pass 2 repeats the deterministic in-bucket dedup and emits winners with
 # pos = row_base + local rank and seq_id = (token_base + local exclusive
-# cumsum) // budget. No text bytes cross either exchange (doc_id, 32-hex
-# key, token count only); both passes are single keyed exchanges with
-# buckets sized by scaled_partitions.
+# cumsum) // budget. No text bytes cross either exchange (doc_id, the two
+# uint64 md5 halves, token count only); both passes are single keyed
+# exchanges with buckets sized by scaled_partitions.
 # -------------------------------------------------------------------------
 
 
@@ -3522,6 +3519,80 @@ def prepare_training(sf_dir: str, budget: int = 512) -> rd.Dataset:
     return prepare_training_ds(
         _read_docs(sf_dir, ["doc_id", "text"]), n_rows, budget=budget
     )
+
+
+def training_keys(batch: pa.Table) -> pa.Table:
+    """The training composition's quality gate (``quality_filter``'s
+    defaults) and content key: the (doc_id, k0, k1, n_tokens) rows of the
+    (doc_id, text) docs that pass. (k0, k1) are the big-endian uint64
+    halves of the text's md5 digest, so they order as its hex digest."""
+    kept = batch.filter(_quality_gate(batch["text"], 100, 20000, 5, 20))
+    md5 = np.frombuffer(
+        b"".join(
+            hashlib.md5(t.encode("utf-8")).digest()
+            for t in kept["text"].to_pylist()
+        ),
+        dtype=">u8",
+    ).reshape(-1, 2)
+    return pa.table(
+        {
+            "doc_id": kept["doc_id"],
+            "k0": pa.array(md5[:, 0].astype(np.uint64)),
+            "k1": pa.array(md5[:, 1].astype(np.uint64)),
+            "n_tokens": _ws_tokens(kept["text"]),
+        }
+    )
+
+
+def first_per_key(t: pa.Table) -> np.ndarray:
+    """Exact content dedup: the indices, in (k0, k1, doc_id) order, of the
+    first row of ``t`` per (k0, k1), so each text survives once, at its
+    lowest doc_id. One argsort on k0; only rows whose k0 repeats (copies
+    of one text, or a 64-bit collision) are sorted by all three keys."""
+    k0 = t["k0"].to_numpy()
+    k1 = t["k1"].to_numpy()
+    order = np.argsort(k0)
+    s0 = k0[order]
+    tie = np.zeros(len(order), bool)
+    eq = s0[1:] == s0[:-1]
+    tie[1:] |= eq
+    tie[:-1] |= eq
+    if tie.any():  # each run of one k0 keeps its slots, rows re-sorted
+        rows = order[tie]
+        ids = t["doc_id"].to_numpy()[rows]
+        order[tie] = rows[np.lexsort((ids, k1[rows], k0[rows]))]
+    s1 = k1[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
+    return order[first]
+
+
+def _training_bucket(k0: pa.ChunkedArray, n_parts: int) -> np.ndarray:
+    """``prepare_training_ds``' exchange bucket of each key: its top 32
+    bits scaled to ``n_parts``. It never decreases as (k0, k1) grows, so
+    the buckets, concatenated in bucket order, list the winners in
+    (k0, k1) order: the order ``training_offsets`` packs in one process."""
+    pref = (k0.to_numpy() >> np.uint64(32)).astype(np.int64)
+    return pref * n_parts // (1 << 32)
+
+
+def training_offsets(keys: pa.Table) -> tuple[np.ndarray, np.ndarray, int]:
+    """The packing of ``prepare_training_ds(emit_offsets=True)``, done in
+    one process over a whole ``training_keys`` table: the winners' doc_ids
+    ascending, each one's exclusive global token prefix ``tok_start``, and
+    the token total. Both pack the winners of ``first_per_key`` in (k0, k1)
+    order; there it is bucket after bucket (``_training_bucket``), here it
+    is one sort, and the two agree only while the bucket id is monotone in
+    the key."""
+    win = first_per_key(keys)
+    ntok = keys["n_tokens"].to_numpy()[win]
+    starts = np.full(keys.num_rows, -1, np.int64)
+    starts[win] = np.cumsum(ntok) - ntok
+    ids = pc.cast(keys["doc_id"], pa.int64()).to_numpy()
+    # blocks arrive as ascending doc_id runs, which a stable sort merges
+    by_id = np.argsort(ids, kind="stable")
+    by_id = by_id[starts[by_id] >= 0]
+    return ids[by_id], starts[by_id], int(ntok.sum())
 
 
 def prepare_training_ds(
@@ -3539,67 +3610,22 @@ def prepare_training_ds(
     n_parts = scaled_partitions(n_rows)
 
     def flag(batch: pa.Table) -> pa.Table:
-        n, spaces, digits, _ = _quality_counters(batch["text"])
-        keep = pc.and_(
-            pc.and_(
-                pc.and_(
-                    pc.greater_equal(n, 100),
-                    pc.less_equal(n, 20000),
-                ),
-                pc.greater_equal(
-                    pc.multiply(spaces, pa.scalar(100, pa.int64())),
-                    pc.multiply(n, pa.scalar(5, pa.int64())),
-                ),
-            ),
-            pc.less_equal(
-                pc.multiply(digits, pa.scalar(100, pa.int64())),
-                pc.multiply(n, pa.scalar(20, pa.int64())),
-            ),
-        )
-        kept = batch.filter(keep)
-        ks = [
-            hashlib.md5(t.encode("utf-8")).hexdigest()
-            for t in kept["text"].to_pylist()
-        ]
-        pref = np.array([int(k[:8], 16) for k in ks], dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": kept["doc_id"],
-                "k": pa.array(ks, pa.string()),
-                "n_tokens": _ws_tokens(kept["text"]),
-                "__pp": pa.array(pref * n_parts // (1 << 32)),
-            }
-        )
-
-    def dedup_sorted(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("k", "ascending"), ("doc_id", "ascending")])
-        ks = np.asarray(t["k"].to_numpy(zero_copy_only=False))
-        first = np.ones(len(ks), bool)
-        if len(ks) > 1:
-            first[1:] = ks[1:] != ks[:-1]
-        return t.filter(pa.array(first))
+        t = training_keys(batch)
+        pp = _training_bucket(t["k0"], n_parts)
+        return t.append_column("__pp", pa.array(pp))
 
     # the reduced (doc_id, key, n_tokens) metadata table is consumed by
     # TWO keyed passes below — materialize it so the upstream dataflow
     # (which may be the full extraction pipeline in the web_to_training /
     # corpus_to_training compositions) runs ONCE; the cached table is
-    # keys-only (~50 B/row, object store spills at scale), always cheaper
+    # keys-only (40 B/row, object store spills at scale), always cheaper
     # than re-extracting payloads (measured 35s -> 22s end-to-end at the
     # 237k-page corpus)
     tagged = ds.map_batches(flag, batch_format="pyarrow").materialize()
 
     # pass 1: one summary row per bucket after in-bucket dedup
     def bucket_summary(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "b": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "tok": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
-        w = dedup_sorted(group)
+        w = group.take(first_per_key(group))
         return pa.table(
             {
                 "b": pa.array([int(w["__pp"][0].as_py())], pa.int64()),
@@ -3614,7 +3640,6 @@ def prepare_training_ds(
         tagged.groupby("__pp")
         .map_groups(bucket_summary, batch_format="pyarrow")
         .to_pandas()
-        .sort_values("b")
     )
     per_rows = np.zeros(n_parts, dtype=np.int64)
     per_toks = np.zeros(n_parts, dtype=np.int64)
@@ -3628,12 +3653,7 @@ def prepare_training_ds(
 
     # pass 2: winners with global shuffle rank + packed sequence id
     def assign(group: pa.Table) -> pa.Table:
-        cols = ["doc_id", "pos", "n_tokens", "seq_id"] + (
-            ["tok_start"] if emit_offsets else []
-        )
-        if group.num_columns == 0 or group.num_rows == 0:
-            return pa.table({c: pa.array([], pa.int64()) for c in cols})
-        w = dedup_sorted(group)
+        w = group.take(first_per_key(group))
         b = int(w["__pp"][0].as_py())
         ntok = w["n_tokens"].to_numpy(zero_copy_only=False)
         pos = row_base[b] + np.arange(w.num_rows, dtype=np.int64)

@@ -524,13 +524,20 @@ def run_checkpoint(
 
 
 def read_extracted(output_dir: str) -> rd.Dataset:
-    """Read back a checkpoint-mode output directory as one Dataset."""
+    """Read back a checkpoint-mode output directory as one Dataset, one
+    read task and one block per partition file. Ray's own estimate would
+    split each file into blocks below its 1 MiB minimum whenever the
+    files are fewer than the blocks it wants, and every block costs each
+    downstream exchange a task. ``run_checkpoint`` already sizes the
+    partition count to the cluster, and Ray still splits a block past
+    its 128 MiB target. The trade-off: read parallelism, and with it the
+    training egress', follows the checkpoint's ``n_partitions``."""
     paths = [
         os.path.join(output_dir, d, "extracted.parquet")
         for d in sorted(os.listdir(output_dir))
         if d.startswith("part-")
     ]
-    return rd.read_parquet(paths)
+    return rd.read_parquet(paths, override_num_blocks=len(paths))
 
 
 def main() -> None:

@@ -360,23 +360,44 @@ def write_training_shards(
 
     Dataflow: extraction runs in CHECKPOINT mode under ``workdir``
     (resumable; a re-run of a failed shard build skips finished extraction
-    partitions); ``prepare_training_ds(emit_offsets=True)`` yields each
-    winner's exclusive global token prefix ``tok_start``. The winner
-    offset table (doc_id, tok_start — ints only, ~16 B/row) BROADCASTS
-    back up to ``broadcast_limit`` rows so each doc slices its own
-    segments locally; past the limit it becomes a BUCKETED doc_id hash
-    JOIN (one ``keyed_join`` exchange: text payloads hop once into their
-    bucket, offsets probe by searchsorted). Sequence assembly is then ONE
-    keyed exchange of token payloads grouped by seq_id — each window's
-    segments meet exactly once. Output rows: (seq_id, n_tokens, text).
-    Returns a one-row summary table (n_seqs, n_tokens)."""
+    partitions). Each winner's exclusive global token prefix ``tok_start``
+    then comes from one of two plans, chosen from the input row count
+    (parquet footers) before anything runs:
+
+    - up to ``broadcast_limit`` input rows, ONE keys pass collects the
+      gated (doc_id, md5 key, n_tokens) rows (``training_keys``) to the
+      driver, which packs them as ``prepare_training_ds`` does
+      (``training_offsets``). The (doc_id, tok_start) pairs BROADCAST
+      back, so each doc slices its own segments locally;
+    - past the limit, ``prepare_training_ds(emit_offsets=True)`` computes
+      the offsets in its keyed exchanges and a BUCKETED doc_id hash JOIN
+      (one ``keyed_join`` exchange: text payloads hop once into their
+      bucket, offsets probe by searchsorted) brings them to the texts.
+
+    Sequence assembly is then ONE keyed exchange of token payloads grouped
+    by seq_id — each window's segments meet exactly once. Below the limit
+    the call runs two Ray Data executions: the keys pass and the write.
+    Output rows: (seq_id, n_tokens, text). Returns a one-row summary
+    table (n_seqs, n_tokens) from the packing itself: token position p
+    lands in sequence p // budget, so n_seqs = ceil(n_tokens / budget).
+
+    SIZE NOTE: the keys pass lands 32 B per gated doc on the driver
+    (doc_id, the md5's two uint64 halves, n_tokens), and the packing
+    peaks at ~90 B per doc with them. Measured on synthetic keys (2%
+    copies, doc ids in ascending runs per block), one core: 10^6 keys
+    pack in 0.15 s and 0.24 GB peak RSS, 2*10^7 (the default limit) in
+    7.5 s and 1.8 GB.
+    Past the limit nothing row-sized reaches the driver."""
+    import glob
+    import os
+
     import numpy as np
     import pyarrow.compute as pc
 
     import ray
 
     from ..functions.agg import collect, keyed_exchange, keyed_join, scaled_partitions
-    from ..functions.textops import prepare_training_ds
+    from ..functions.textops import prepare_training_ds, training_keys, training_offsets
     from ..sources.pages import count_rows
     from .extract import read_extracted, run_checkpoint
 
@@ -388,34 +409,30 @@ def write_training_shards(
         emit_pages=False,
         assign_doc_ids=True,
     )
+    # idempotent re-run, also when no doc wins: clear stale shard files
+    # first (write_parquet appends uniquely-named files; leftovers would
+    # double-count on read)
+    os.makedirs(out_dir, exist_ok=True)
+    for p in glob.glob(f"{out_dir}/*.parquet"):
+        os.remove(p)
+
+    def summary(total: int) -> pa.Table:
+        return pa.table(
+            {
+                "n_seqs": pa.array([-(-total // budget)], pa.int64()),
+                "n_tokens": pa.array([total], pa.int64()),
+            }
+        )
 
     docs = read_extracted(workdir).map_batches(_ok_docs, batch_format="pyarrow")
     n_rows = count_rows(input_path)
-    # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
-    # tok_start) int64 pair per WINNER doc — 16 B/row, so ~1.6 TB of
-    # distributed, spillable object-store residency at 10^11 docs (Ray
-    # spills blocks to disk under pressure; nothing lands on the driver —
-    # the driver only ever sees `n_meta` and, below the broadcast limit,
-    # the collected pairs). Past ~10^11 docs prefer checkpointing this
-    # table to parquet next to `workdir` instead of re-deriving it on a
-    # resume; the dataflow is otherwise unchanged.
-    meta_ds = prepare_training_ds(
-        docs, n_rows, budget=budget, emit_offsets=True
-    ).select_columns(["doc_id", "tok_start"]).materialize()
-    n_meta = meta_ds.count()
-    if n_meta == 0:
-        return pa.table(
-            {"n_seqs": pa.array([0], pa.int64()), "n_tokens": pa.array([0], pa.int64())}
-        )
-
-    if n_meta <= broadcast_limit:
-        meta = collect(meta_ds).sort_by([("doc_id", "ascending")])
-        ref = ray.put(
-            (
-                meta["doc_id"].to_numpy(zero_copy_only=False),
-                meta["tok_start"].to_numpy(zero_copy_only=False),
-            )
-        )
+    if n_rows <= broadcast_limit:
+        keys = collect(docs.map_batches(training_keys, batch_format="pyarrow"))
+        if keys is None:
+            return summary(0)
+        ids, starts, total = training_offsets(keys)
+        n_meta = len(ids)
+        ref = ray.put((ids, starts))
 
         def segments(batch: pa.Table) -> pa.Table:
             ids_b, starts_b = ray.get(ref)
@@ -423,6 +440,18 @@ def write_training_shards(
 
         seg_ds = docs.map_batches(segments, batch_format="pyarrow")
     else:
+        # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
+        # tok_start, n_tokens) int64 triple per WINNER doc — 24 B/row of
+        # distributed, spillable object-store residency; the driver only
+        # sees the row count and the token total
+        meta_ds = prepare_training_ds(
+            docs, n_rows, budget=budget, emit_offsets=True
+        ).select_columns(["doc_id", "tok_start", "n_tokens"]).materialize()
+        n_meta = meta_ds.count()
+        if n_meta == 0:
+            return summary(0)
+        total = int(meta_ds.sum("n_tokens"))
+
         # scale path: bucketed join on doc_id — offsets and text payloads
         # meet in their hash bucket, one exchange
         def join_segments(meta: pa.Table, d: pa.Table) -> pa.Table:
@@ -470,28 +499,10 @@ def write_training_shards(
             }
         )
 
-    seqs = keyed_exchange(
+    keyed_exchange(
         seg_ds, ["seq_id"], assemble_bucket, scaled_partitions(n_meta)
-    )
-    # idempotent re-run: clear stale shard files first (write_parquet
-    # appends uniquely-named files; leftovers would double-count on read)
-    import glob as _glob
-    import os as _os
-
-    _os.makedirs(out_dir, exist_ok=True)
-    for p in _glob.glob(f"{out_dir}/*.parquet"):
-        _os.remove(p)
-    seqs.write_parquet(out_dir)
-    out = rd.read_parquet(out_dir, columns=["seq_id", "n_tokens"])
-    summary = collect(out)
-    return pa.table(
-        {
-            "n_seqs": pa.array([summary.num_rows], pa.int64()),
-            "n_tokens": pa.array(
-                [int(pc.sum(summary["n_tokens"]).as_py() or 0)], pa.int64()
-            ),
-        }
-    )
+    ).write_parquet(out_dir)
+    return summary(total)
 
 
 def checkpointed_training(

@@ -266,6 +266,8 @@ def write_wet(
     import hashlib
     import os
 
+    from ..functions.agg import collect
+
     os.makedirs(out_dir, exist_ok=True)
     for old in glob(os.path.join(out_dir, "wet-*.warc.wet*")):
         os.remove(old)
@@ -303,16 +305,12 @@ def write_wet(
             }
         )
 
-    manifests = [
-        t
-        for t in __import__("ray").get(
-            extracted.map_batches(emit, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    # one execution: emit writes files, so a second run of any block
+    # (to_arrow_refs' schema probe) would add files of other batches
+    manifests = collect(extracted.map_batches(emit, batch_format="pyarrow"))
     return (
-        pa.concat_tables(manifests)
-        if manifests
+        manifests
+        if manifests is not None
         else pa.table(
             {
                 "wet_path": pa.array([], pa.string()),

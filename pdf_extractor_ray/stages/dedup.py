@@ -201,6 +201,8 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     import ray
     from ray.data.aggregate import Min, Sum
 
+    from ..functions.agg import collect
+
     keys = rd.read_parquet(
         input_path, columns=["url", "warc_ts"], include_paths=True
     )
@@ -213,16 +215,10 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     def _only_dups(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater(b["sum(cnt)"], 1))
 
-    dup_tables = [
-        t
-        for t in ray.get(
-            combined.map_batches(_only_dups, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not dup_tables:
+    dups = collect(combined.map_batches(_only_dups, batch_format="pyarrow"))
+    if dups is None:
         return None
-    dups = pa.concat_tables(dup_tables).combine_chunks()
+    dups = dups.combine_chunks()
     dups = pa.table(
         {
             "url": dups["url"],
@@ -249,8 +245,7 @@ def build_dup_index(input_path: str) -> pa.Table | None:
 
     prov = read_pages_with_ids(input_path, columns=["url", "warc_ts"])
     prov = prov.map_batches(_dup_rows, batch_format="pyarrow")
-    prov_tables = [t for t in ray.get(prov.to_arrow_refs()) if t.num_rows]
-    rows = pa.concat_tables(prov_tables).combine_chunks()
+    rows = collect(prov).combine_chunks()
     ridx = pc.index_in(rows["url"], value_set=dup_urls)
     row_min = pc.take(dups["warc_ts_min"].combine_chunks(), ridx)
     at_min = rows.filter(pc.equal(rows["warc_ts"], row_min))

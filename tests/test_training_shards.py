@@ -5,11 +5,43 @@ concatenation of all sequences in seq_id order equals the concatenation
 of winner documents' tokens in shuffle (pos) order."""
 
 import glob
+import random
 import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
+
+_WORDS = ["river", "stone", "lantern", "orbit", "meadow", "signal", "harbor", "copper"]
+
+
+def _read_shards(out_dir) -> pa.Table:
+    files = glob.glob(str(out_dir / "*.parquet"))
+    return pa.concat_tables([pq.read_table(f) for f in files]).sort_by(
+        [("seq_id", "ascending")]
+    )
+
+
+def _write_pages(pages_dir, shards: list[list[str]]) -> None:
+    """One corpus shard per list of document texts, each text wrapped in
+    the HTML page template under its own url."""
+    from pdf_extractor_ray.pipelines.webpages import docs_to_pages
+
+    pages_dir.mkdir()
+    first = 0
+    for k, texts in enumerate(shards):
+        ids = pa.array(range(first, first + len(texts)), pa.int64())
+        first += len(texts)
+        docs = pa.table({"doc_id": ids, "text": texts, "lang": ["en"] * len(texts)})
+        t = docs_to_pages(docs)
+        t = t.append_column("text", pa.array(texts, pa.string()))
+        pq.write_table(t, str(pages_dir / f"part-{k:05d}.parquet"))
+
+
+def _long_text(seed: int) -> str:
+    rng = random.Random(seed)
+    return " ".join(rng.choice(_WORDS) for _ in range(60))
 
 
 def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path):
@@ -86,3 +118,137 @@ def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path):
     for t in seqs["text"].to_pylist():
         got.extend(t.split(" "))
     assert got == expected
+
+
+@pytest.mark.parametrize("broadcast_limit", [20_000_000, 0])
+def test_rerun_without_winners_clears_stale_shards(
+    ray_session, small_corpus, tmp_path, broadcast_limit
+):
+    """A rerun into the same out_dir whose input yields no winner leaves no
+    shard of the earlier run behind its zero summary."""
+    from pdf_extractor_ray.pipelines.webpages import write_training_shards
+
+    out = tmp_path / "shards"
+    kw = dict(budget=64, n_partitions=4, broadcast_limit=broadcast_limit)
+    write_training_shards(
+        small_corpus["corpus"], str(tmp_path / "work"), str(out), **kw
+    )
+    assert glob.glob(str(out / "*.parquet"))
+
+    # every doc is far below the quality gate's 100 characters
+    _write_pages(tmp_path / "short", [["tiny page"], ["another tiny page", "short"]])
+    summary = write_training_shards(
+        str(tmp_path / "short"), str(tmp_path / "work2"), str(out), **kw
+    )
+    assert summary.to_pylist() == [{"n_seqs": 0, "n_tokens": 0}]
+    assert glob.glob(str(out / "*.parquet")) == []
+
+
+def test_duplicate_texts_pack_once_at_lowest_doc_id(ray_session, tmp_path):
+    """Identical texts under different urls, across checkpoint partitions
+    and within one: both plans pack each text once, at its lowest doc_id,
+    in checkpointed_training's order."""
+    from pdf_extractor_ray.pipelines.webpages import (
+        checkpointed_training,
+        write_training_shards,
+    )
+
+    a, b, c = _long_text(1), _long_text(2), _long_text(3)
+    # 4 shards into 4 partitions: each shard is its own checkpoint partition
+    shards = [
+        [_long_text(10), a, "too short"],
+        [b, _long_text(11)],
+        [c, _long_text(12), c, b],
+        [a, _long_text(13)],
+    ]
+    _write_pages(tmp_path / "pages", shards)
+    pages, work, budget = str(tmp_path / "pages"), str(tmp_path / "work"), 16
+    plans = []
+    for limit in (20_000_000, 0):
+        out = tmp_path / f"shards-{limit}"
+        summary = write_training_shards(
+            pages, work, str(out), budget=budget, n_partitions=4, broadcast_limit=limit
+        )
+        seqs = _read_shards(out)
+        assert summary["n_seqs"][0].as_py() == seqs.num_rows
+        assert summary["n_tokens"][0].as_py() == sum(seqs["n_tokens"].to_pylist())
+        plans.append(seqs)
+    assert plans[0].equals(plans[1])
+
+    meta = (
+        checkpointed_training(pages, work, budget=budget, n_partitions=4)
+        .to_pandas()
+        .sort_values("pos")
+    )
+    ext = pa.concat_tables(
+        [
+            pq.read_table(f, columns=["doc_id", "extracted_text", "status"])
+            for f in glob.glob(str(tmp_path / "work" / "part-*" / "extracted.parquet"))
+        ]
+    )
+    ext = ext.filter(pc.equal(ext["status"], "ok"))
+    text_of = dict(zip(ext["doc_id"].to_pylist(), ext["extracted_text"].to_pylist()))
+    winners = [text_of[d] for d in meta["doc_id"]]
+    assert len(winners) == len(set(winners)) == 7  # 10 long docs, 3 copies
+    for planted in (a, b, c):
+        ids = sorted(d for d, t in text_of.items() if planted in t)
+        assert len(ids) == 2
+        assert ids[0] in set(meta["doc_id"]) and ids[1] not in set(meta["doc_id"])
+
+    expected: list[str] = []
+    for t in winners:
+        expected.extend(re.split(r"[ \t\n\r\f\v]+", t.strip()))
+    got: list[str] = []
+    for t in plans[0]["text"].to_pylist():
+        got.extend(t.split(" "))
+    assert got == expected
+
+
+def test_training_offsets_match_bucketed_packing():
+    """``training_offsets`` (one sort) packs as ``prepare_training_ds``'
+    md5-prefix buckets do, copies and 64-bit k0 collisions included: each
+    (k0, k1) once, at its lowest doc_id, in md5 hex order."""
+    import numpy as np
+
+    from pdf_extractor_ray.functions.textops import (
+        _training_bucket,
+        first_per_key,
+        training_offsets,
+    )
+
+    rng = np.random.default_rng(5)
+    n = 3000
+    k0 = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    k1 = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    k0[100:200] = k0[:100]  # another text with the same k0
+    k0[200:300], k1[200:300] = k0[:100], k1[:100]  # copies of one text
+    ids = rng.permutation(n).astype(np.int64)
+    ntok = rng.integers(1, 50, n).astype(np.int64)
+    full = pa.table({"doc_id": ids, "k0": k0, "k1": k1, "n_tokens": ntok})
+    keys = pa.concat_tables([full.slice(0, 1000), full.slice(1000)])  # 2 blocks
+
+    best: dict[str, tuple[int, int]] = {}
+    for d, a, b, t in zip(ids.tolist(), k0.tolist(), k1.tolist(), ntok.tolist()):
+        key = f"{a:016x}{b:016x}"
+        if key not in best or d < best[key][0]:
+            best[key] = (d, t)
+    assert len(best) == n - 100
+    ref_ids, ref_starts, pos = [], [], 0
+    for key in sorted(best):
+        ref_ids.append(best[key][0])
+        ref_starts.append(pos)
+        pos += best[key][1]
+
+    got_ids, got_starts, total = training_offsets(keys)
+    by_id = np.argsort(ref_ids)
+    assert got_ids.tolist() == np.asarray(ref_ids)[by_id].tolist()
+    assert got_starts.tolist() == np.asarray(ref_starts)[by_id].tolist()
+    assert total == pos
+
+    # prepare_training_ds' order: dedup per bucket, buckets concatenated
+    pp = _training_bucket(keys["k0"], 7)
+    packed = []
+    for b in range(7):
+        g = keys.filter(pa.array(pp == b))
+        packed.extend(g["doc_id"].to_numpy()[first_per_key(g)].tolist())
+    assert packed == ref_ids
