@@ -1,10 +1,10 @@
 """Keyed exchanges and partial aggregation: every join and every
 hash-by-key exchange in the engine is one of two task-only primitives over
-Ray Data's default sort-based ``groupby`` (no aggregator actors, no actor
-pools):
+Ray Data's sort shuffle (no aggregator actors, no actor pools):
 
 - ``keyed_exchange(ds, keys, fn, n_parts)`` hash-tags each row by ``keys``
-  into one of ``n_parts`` buckets and calls ``fn`` once per bucket;
+  into one of ``n_parts`` buckets and calls ``fn`` once per reduce block
+  of whole buckets;
 - ``keyed_join(left, right, on, right_on, how, n_parts)`` tags each side
   on its own key and joins each bucket's left and right rows as two
   separate tables: ``how`` is a pyarrow ``Table.join`` type or a function
@@ -13,7 +13,8 @@ pools):
 The invariant both keep: one BUCKET (≈ keyed rows / ``n_parts``), not one
 key, must fit in a worker — raw-row exchanges size ``n_parts`` with
 ``scaled_partitions`` so a bucket stays bounded as the table grows, and
-every ``fn`` resolves all keys of its bucket in one vectorized pass.
+every ``fn`` resolves all keys of its rows in one vectorized pass (the
+sort's reduce block, which the task holds whole either way).
 Stages that compute a bucket id of their own (ordered value or md5-prefix
 ranges, LSH band and shingle-hash buckets, pair-index buckets) or group by
 a low-cardinality column call ``groupby`` on it directly.
@@ -38,6 +39,7 @@ hash-matches bit-for-bit; averages are emitted as exact integer ratios
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from typing import Callable
 
 import pyarrow as pa
@@ -138,14 +140,6 @@ def scaled_partitions(n_rows: int, rows_per_bucket: int = 500_000) -> int:
     return max(_N_AGG_PARTITIONS, n_rows // rows_per_bucket + 1)
 
 
-def _by_bucket(tagged: rd.Dataset, run: Callable, fn: Callable) -> rd.Dataset:
-    """The one exchange: rows meet by their ``__pp`` bucket (Ray Data's
-    task-only sort shuffle) and ``run`` calls ``fn`` once per non-empty
-    bucket; the Ray operator keeps ``fn``'s name."""
-    run.__name__ = getattr(fn, "func", fn).__name__
-    return tagged.groupby("__pp").map_groups(run, batch_format="pyarrow")
-
-
 def keyed_exchange(
     ds: rd.Dataset,
     keys: list[str],
@@ -153,16 +147,25 @@ def keyed_exchange(
     n_parts: int,
 ) -> rd.Dataset:
     """Hash-bucket ``ds`` by ``keys`` into ``n_parts`` buckets and return the
-    concatenation of ``fn(bucket_rows)`` over every non-empty bucket. All
-    rows of a key land in one call; a call holds many keys."""
+    concatenation of ``fn(rows)`` over the exchange's non-empty reduce
+    blocks. Ray Data's sort on the bucket id puts every row of a bucket,
+    so of a key, in one block (the guarantee its own ``map_groups`` rests
+    on), and ``fn`` runs once per block: a call holds whole buckets of
+    many keys. The Ray operator keeps ``fn``'s name."""
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column("__pp", _hash_partition_column(batch, keys, n_parts))
 
-    def run(group: pa.Table) -> pa.Table:
-        return fn(group.drop_columns(["__pp"]))
+    def run(block: pa.Table) -> Iterator[pa.Table]:
+        if block.num_rows:
+            yield fn(block.drop_columns(["__pp"]))
 
-    return _by_bucket(ds.map_batches(tag, batch_format="pyarrow"), run, fn)
+    run.__name__ = getattr(fn, "func", fn).__name__
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .sort("__pp")
+        .map_batches(run, batch_format="pyarrow", batch_size=None)
+    )
 
 
 def _known_schema(ds: rd.Dataset) -> pa.Schema | None:
@@ -293,7 +296,8 @@ def keyed_join(
     tagged = left.map_batches(pack(0), batch_format="pyarrow").union(
         right.map_batches(pack(1), batch_format="pyarrow")
     )
-    return _by_bucket(tagged, join_bucket, fn)
+    join_bucket.__name__ = getattr(fn, "func", fn).__name__
+    return tagged.groupby("__pp").map_groups(join_bucket, batch_format="pyarrow")
 
 
 def combine_partials(

@@ -34,8 +34,6 @@ import ray.data as rd
 
 from .agg import collect, instance_stage, partial_group_agg, grouped_sum
 
-_ASCII_WS = " \t\n\r\f\v"
-_WS_RE = re.compile(r"[ \t\n\r\f\v]+")
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -60,25 +58,70 @@ def _doc_parts(sf_dir: str, rows_per_doc: int = 1) -> int:
 # (regexp_split_to_array(trim(text), '\s+'): RE2 \s is ASCII-only).
 # -------------------------------------------------------------------------
 
+def token_bytes(data: np.ndarray) -> np.ndarray:
+    """Mask of the uint8 ``data`` bytes outside the six ASCII whitespace
+    bytes (0x09-0x0D, 0x20). UTF-8 never uses those inside a multibyte
+    character, so this classifies a whole string buffer at once."""
+    return (data - np.uint8(9) > 4) & (data != 32)
+
+
+def ws_bounds(
+    text: pa.ChunkedArray | pa.Array,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The whitespace tokenizer every training operator shares, as one
+    vectorized pass over the arrow UTF-8 buffer: ``(data, starts, ends,
+    counts)``. ``data`` is the uint8 view of the values' bytes, each token
+    ``k`` is ``data[starts[k]:ends[k]]`` (in document order) and
+    ``counts[i]`` is document ``i``'s token count. A token is a maximal
+    run of bytes outside ``[ \t\n\r\f\v]`` within one document, so the
+    tokens are exactly ``re.split(r"[ \t\n\r\f\v]+", t.strip(...))``'s
+    (no empty ones); a null document has none."""
+    arr = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
+    if arr.null_count:
+        arr = pc.fill_null(arr, "")
+    n = len(arr)
+    if n == 0:
+        e = np.zeros(0, np.int64)
+        return np.zeros(0, np.uint8), e, e, e
+    _, off_buf, data_buf = arr.buffers()
+    wide = pa.types.is_large_string(arr.type)
+    offs = np.frombuffer(off_buf, np.int64 if wide else np.int32)
+    offs = offs[arr.offset : arr.offset + n + 1].astype(np.int64)
+    data = (
+        np.frombuffer(data_buf, np.uint8)[offs[0] : offs[-1]]
+        if data_buf is not None
+        else np.zeros(0, np.uint8)
+    )
+    offs -= offs[0]
+    tok = token_bytes(data)
+    first = tok.copy()
+    first[1:] &= ~tok[:-1]
+    last = tok.copy()
+    last[:-1] &= ~tok[1:]
+    cut = offs[(offs > 0) & (offs < len(data))]  # tokens end at documents
+    first[cut] = tok[cut]
+    last[cut - 1] = tok[cut - 1]
+    starts = np.flatnonzero(first)
+    ends = np.flatnonzero(last) + 1
+    return data, starts, ends, np.diff(np.searchsorted(starts, offs))
+
+
+def _ws_tokens(text: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """Tokens per document (``ws_bounds``), null for a null document."""
+    arr = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
+    mask = arr.is_null().to_numpy(zero_copy_only=False) if arr.null_count else None
+    return pa.array(ws_bounds(arr)[3], pa.int64(), mask=mask)
+
+
 def token_count(sf_dir: str) -> rd.Dataset:
     ds = _read_docs(sf_dir, ["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        # vectorized: tokens = separator-run count + 1 on the trimmed text
-        # (equals len(_WS_RE.split(t.strip(_ASCII_WS))); 0 for blank docs)
-        trimmed = pc.utf8_trim(batch["text"], characters=_ASCII_WS)
-        seps = pc.cast(
-            pc.count_substring_regex(trimmed, pattern=r"[ \t\n\r\f\v]+"),
-            pa.int64(),
-        )
-        toks = pc.if_else(
-            pc.not_equal(trimmed, ""), pc.add(seps, 1), pa.scalar(0, pa.int64())
-        )
         t = pa.table(
             {
                 "lang": batch["lang"],
                 "n_docs": pa.array([1] * batch.num_rows, pa.int64()),
-                "sum_tokens": toks,
+                "sum_tokens": _ws_tokens(batch["text"]),
             }
         )
         return partial_group_agg(
@@ -134,25 +177,18 @@ def token_count_bpe(sf_dir: str) -> rd.Dataset:
 # upper counts). Integer-only so the SQL oracle hash-matches exactly.
 # -------------------------------------------------------------------------
 
-_DIGIT_RE = re.compile(r"[0-9]")
-_UPPER_RE = re.compile(r"[A-Z]")
-
-
 def _quality_counters(
     texts: pa.ChunkedArray | pa.Array,
-) -> tuple[pa.Array, pa.Array, pa.Array, pa.Array]:
-    """(n_chars, n_spaces, n_digits, n_upper) as int64 — pure pyarrow.compute
-    (codepoint length + substring counts; ASCII classes match the SQL
-    regexp_replace oracles exactly)."""
+) -> tuple[pa.Array, pa.Array, pa.Array]:
+    """(n_chars, n_spaces, n_digits) as int64, the counters the quality
+    gate reads — pure pyarrow.compute (codepoint length + substring
+    counts; ASCII classes match the SQL regexp_replace oracles exactly)."""
     n_chars = pc.cast(pc.utf8_length(texts), pa.int64())
     n_spaces = pc.cast(pc.count_substring(texts, pattern=" "), pa.int64())
     n_digits = pc.cast(
         pc.count_substring_regex(texts, pattern="[0-9]"), pa.int64()
     )
-    n_upper = pc.cast(
-        pc.count_substring_regex(texts, pattern="[A-Z]"), pa.int64()
-    )
-    return n_chars, n_spaces, n_digits, n_upper
+    return n_chars, n_spaces, n_digits
 
 
 def _quality_gate(
@@ -165,7 +201,7 @@ def _quality_gate(
     """The quality gate as a keep mask, in the integer math the SQL oracles
     share: min_chars <= n <= max_chars, spaces >= min_space_pct % of n,
     digits <= max_digit_pct % of n."""
-    n, spaces, digits, _ = _quality_counters(texts)
+    n, spaces, digits = _quality_counters(texts)
     return pc.and_(
         pc.and_(
             pc.and_(
@@ -188,7 +224,10 @@ def quality_stats(sf_dir: str) -> rd.Dataset:
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def f(batch: pa.Table) -> pa.Table:
-        n_chars, n_spaces, n_digits, n_upper = _quality_counters(batch["text"])
+        n_chars, n_spaces, n_digits = _quality_counters(batch["text"])
+        n_upper = pc.cast(
+            pc.count_substring_regex(batch["text"], pattern="[A-Z]"), pa.int64()
+        )
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -1755,19 +1794,18 @@ def repetition_stats(sf_dir: str) -> rd.Dataset:
 # driver), pass 2 re-tokenizes and adds local cumsum + bucket base — no
 # global sort, no full materialization; the doc_id range comes free from
 # the parquet footer stats. Token definition shared with token_count
-# (ASCII-whitespace runs on the trimmed text).
+# (``ws_bounds``).
 # -------------------------------------------------------------------------
 
 
-def _ws_tokens(text: pa.ChunkedArray | pa.Array) -> pa.Array:
-    trimmed = pc.utf8_trim(text, characters=_ASCII_WS)
-    seps = pc.cast(
-        pc.count_substring_regex(trimmed, pattern=r"[ \t\n\r\f\v]+"),
-        pa.int64(),
-    )
-    return pc.if_else(
-        pc.not_equal(trimmed, ""), pc.add(seps, 1), pa.scalar(0, pa.int64())
-    )
+def _empty_docs_result(path: str, cols: dict[str, pa.DataType]) -> rd.Dataset:
+    """The zero-row result of a per-doc operator over an empty documents
+    table: ``doc_id`` typed as the file types it, then ``cols``."""
+    import pyarrow.parquet as pq
+
+    fields = [pq.read_schema(path).field("doc_id")]
+    fields += [pa.field(k, t) for k, t in cols.items()]
+    return rd.from_arrow(pa.schema(fields).empty_table())
 
 
 def _id_range_from_footer(path: str, column: str) -> tuple[int, int]:
@@ -1796,6 +1834,10 @@ def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
 
     path = f"{sf_dir}/documents.parquet"
     n_rows = pq.read_metadata(path).num_rows
+    if n_rows == 0:  # no footer stats to range over
+        return _empty_docs_result(
+            path, {"n_tokens": pa.int64(), "seq_id": pa.int64()}
+        )
     lo, hi = _id_range_from_footer(path, "doc_id")
     n_parts = scaled_partitions(n_rows)
     span = hi - lo + 1
@@ -1820,7 +1862,6 @@ def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
         .groupby("b")
         .sum("tok")
         .to_pandas()
-        .sort_values("b")
     )
     per_bucket = np.zeros(n_parts, dtype=np.int64)
     per_bucket[totals["b"].to_numpy()] = totals["sum(tok)"].to_numpy()
@@ -2433,6 +2474,8 @@ def shuffle_docs(sf_dir: str, seed: int = 42) -> rd.Dataset:
 
     path = f"{sf_dir}/documents.parquet"
     n_rows = pq.read_metadata(path).num_rows
+    if n_rows == 0:
+        return _empty_docs_result(path, {"shuffle_pos": pa.int64()})
     n_parts = scaled_partitions(n_rows)
 
     def keys_of(ids: list[int]) -> list[str]:
@@ -2463,7 +2506,6 @@ def shuffle_docs(sf_dir: str, seed: int = 42) -> rd.Dataset:
         .groupby("b")
         .sum("n")
         .to_pandas()
-        .sort_values("b")
     )
     per_bucket = np.zeros(n_parts, dtype=np.int64)
     per_bucket[totals["b"].to_numpy()] = totals["sum(n)"].to_numpy()

@@ -23,8 +23,10 @@ Two drivers run that body, and give the same rows, ``doc_id`` and
 ``partition_id`` included:
 
 * ``run_checkpoint`` — resumable. Each partition is ONE raw Ray task
-  (``process_partition``) that writes the batches through an atomic temp
-  dir and a ``_MANIFEST.json``. Raw tasks (not Dataset) because
+  (``process_partition``) that writes its products through an atomic temp
+  dir and a ``_MANIFEST.json``: ``extracted.parquet``, optionally
+  ``extracted_pages.parquet`` and ``links.parquet``, and under
+  ``assign_doc_ids`` the training ``keys.parquet``. Raw tasks (not Dataset) because
   per-partition atomic visibility + skip-on-resume is exactly what the
   Dataset API can't express (SURVEY.md §4 checkpoint row). A re-run with
   ``resume=True`` skips completed partitions entirely — their bytes are
@@ -280,6 +282,20 @@ def iter_partition(
         yield extract(empty)
 
 
+def ok_docs(batch: pa.Table) -> pa.Table:
+    """Extracted rows -> the (doc_id, text) curation input of the training
+    compositions: ``ok`` rows only, read-time doc ids."""
+    import pyarrow.compute as pc
+
+    ok = batch.filter(pc.equal(batch["status"], "ok"))
+    return pa.table(
+        {
+            "doc_id": ok["doc_id"],
+            "text": pc.cast(ok["extracted_text"], pa.string()),
+        }
+    )
+
+
 def process_partition(
     pid: int,
     files: list[str],
@@ -294,11 +310,22 @@ def process_partition(
 ) -> pa.Table:
     """One checkpoint partition end-to-end: ``iter_partition`` drained into
     incremental ParquetWriters inside the atomic temp dir, then the
-    manifest. Returns a one-row metrics table (the reference's per-job
-    latency/cost instrumentation, ``backend/src/tasks.py:265-282``)."""
+    manifest. Products: ``extracted.parquet``; ``extracted_pages.parquet``
+    with ``emit_pages``; ``links.parquet`` with ``emit_links``; and, when
+    the rows carry doc ids (``shard_base``), ``keys.parquet``: the
+    ``training_keys`` of the ``ok`` rows (doc_id, md5 halves, token
+    count; 32 B per gated doc), so the training egress packs without
+    reading the texts a second time — zero rows when no row passes.
+    Returns a one-row metrics table (the reference's per-job latency/cost
+    instrumentation, ``backend/src/tasks.py:265-282``)."""
     import pyarrow.compute as pc
 
     from ..functions.links import links_batch
+
+    if shard_base is not None:
+        # imported for doc-id partitions only: a worker that only
+        # extracts stays without the text operators (~6 MB resident)
+        from ..functions.textops import training_keys
 
     t0 = time.perf_counter()
     keys: dict = {}
@@ -365,6 +392,8 @@ def process_partition(
                 # second product off the same payload pass (WAT-file
                 # analog): per-page ordered anchors, shared scanner
                 emit("links", links_batch(pages.select(["url", "html"])))
+            if shard_base is not None:
+                emit("keys", training_keys(ok_docs(out)))
 
         for name in list(buf):
             flush(name)
@@ -490,6 +519,12 @@ def run_checkpoint(
                     "by a run without assign_doc_ids); delete the workdir "
                     "or re-run with resume=False to re-extract"
                 )
+        # a partition committed before the keys product existed has no
+        # keys.parquet: re-extract it rather than read its texts again
+        skip = frozenset(
+            pid for pid in skip
+            if os.path.exists(os.path.join(output_dir, f"part-{pid}", "keys.parquet"))
+        )
     dup_index = build_dup_index(input_path)
     dup_ref = ray.put(dup_index)  # broadcast once, read zero-copy per task
     # infra-level retry budget from the engine's declared config (reference
@@ -523,6 +558,15 @@ def run_checkpoint(
     )
 
 
+def _partition_files(output_dir: str, name: str) -> list[str]:
+    """``name`` in every partition dir of a checkpoint, in dir-name order."""
+    return [
+        os.path.join(output_dir, d, name)
+        for d in sorted(os.listdir(output_dir))
+        if d.startswith("part-")
+    ]
+
+
 def read_extracted(output_dir: str) -> rd.Dataset:
     """Read back a checkpoint-mode output directory as one Dataset, one
     read task and one block per partition file. Ray's own estimate would
@@ -532,12 +576,17 @@ def read_extracted(output_dir: str) -> rd.Dataset:
     partition count to the cluster, and Ray still splits a block past
     its 128 MiB target. The trade-off: read parallelism, and with it the
     training egress', follows the checkpoint's ``n_partitions``."""
-    paths = [
-        os.path.join(output_dir, d, "extracted.parquet")
-        for d in sorted(os.listdir(output_dir))
-        if d.startswith("part-")
-    ]
+    paths = _partition_files(output_dir, "extracted.parquet")
     return rd.read_parquet(paths, override_num_blocks=len(paths))
+
+
+def read_keys(output_dir: str) -> pa.Table:
+    """Every partition's ``keys.parquet`` of a doc-id checkpoint, read on
+    the caller (32 B per gated doc). Each partition lists its doc ids
+    ascending, so the table is ascending doc_id runs."""
+    return pa.concat_tables(
+        [pq.read_table(p) for p in _partition_files(output_dir, "keys.parquet")]
+    )
 
 
 def main() -> None:

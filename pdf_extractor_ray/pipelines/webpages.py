@@ -17,6 +17,7 @@ import ray.data as rd
 
 from ..stages.extract import DocumentExtractor
 from ..stages.sniff import sniff_and_partition
+from .extract import ok_docs
 import functools
 
 _EPOCH_US = 1735689600000000  # 2025-01-01T00:00:00Z, fixed (no wall clock)
@@ -160,20 +161,6 @@ def pdf_tables(sf_dir: str) -> rd.Dataset:
     return ds.map_batches(_docs_to_pdf_tables, batch_format="pyarrow")
 
 
-def _ok_docs(batch: pa.Table) -> pa.Table:
-    """Extracted rows -> the (doc_id, text) curation input: ``ok`` rows
-    only, read-time doc ids."""
-    import pyarrow.compute as pc
-
-    ok = batch.filter(pc.equal(batch["status"], "ok"))
-    return pa.table(
-        {
-            "doc_id": ok["doc_id"],
-            "text": pc.cast(ok["extracted_text"], pa.string()),
-        }
-    )
-
-
 def web_to_training(sf_dir: str, *, budget: int = 512) -> rd.Dataset:
     """The END-TO-END composition the engine exists for: web pages ->
     sniff -> extract -> quality gate -> exact dedup -> deterministic
@@ -237,7 +224,7 @@ def corpus_to_training(input_path: str, *, budget: int = 512) -> rd.Dataset:
         assign_doc_ids=True,
     )
 
-    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
+    docs = extracted.map_batches(ok_docs, batch_format="pyarrow")
     n_rows = count_rows(input_path)
     return prepare_training_ds(docs, n_rows, budget=budget)
 
@@ -263,7 +250,7 @@ def warc_to_training(warc_dir: str, *, budget: int = 512) -> rd.Dataset:
         pages, DocumentExtractor, batch_size=64, emit_pages=False
     )
 
-    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
+    docs = extracted.map_batches(ok_docs, batch_format="pyarrow")
     n_rows = pages.count()
     return prepare_training_ds(docs, n_rows, budget=budget)
 
@@ -274,12 +261,14 @@ def _segments_table(
     """Slice each doc's whitespace tokens at its exact global window
     boundaries -> (seq_id, seg_start, seg_text) segment rows. Shared by
     the broadcast and bucketed-join paths so both are byte-identical.
-    Fully vectorized: flatten all tokens, compute each token's global
-    position, cut segments where the doc or the window changes, and
-    ``binary_join`` per segment via one list array — no per-doc Python
-    (the first version's per-doc loop was the stage's hot spot)."""
+    Fully vectorized over the text buffer: ``ws_bounds`` finds the tokens,
+    each token's global position cuts segments where the doc or the
+    window changes, and a segment's text is its tokens' bytes with one
+    space after every token but its last — one gather, no per-doc Python
+    and no per-token strings."""
     import numpy as np
-    import pyarrow.compute as pc
+
+    from ..functions.textops import token_bytes, ws_bounds
 
     empty = pa.table(
         {
@@ -288,43 +277,39 @@ def _segments_table(
             "seg_text": pa.array([], pa.large_string()),
         }
     )
-    if len(kept_text) == 0:
-        return empty
-    starts = np.asarray(starts, dtype=np.int64)
-    trimmed = pc.utf8_trim(kept_text, characters=" \t\n\r\f\v")
-    toks_col = pc.split_pattern_regex(trimmed, r"[ \t\n\r\f\v]+")
-    if isinstance(toks_col, pa.ChunkedArray):
-        toks_col = toks_col.combine_chunks()
-    flat = pc.list_flatten(toks_col)
-    parent = pc.list_parent_indices(toks_col).to_numpy(zero_copy_only=False)
-    keep = pc.not_equal(flat, "")  # empty docs split to [""] — drop
-    if not pc.all(keep).as_py():
-        mask = keep.to_numpy(zero_copy_only=False)
-        flat = flat.filter(keep)
-        parent = parent[mask]
-    total = len(parent)
+    data, t0, t1, counts = ws_bounds(kept_text)
+    total = len(t0)
     if total == 0:
         return empty
-    run_start = np.ones(total, bool)
-    run_start[1:] = parent[1:] != parent[:-1]
-    run_idx = np.flatnonzero(run_start)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        run_idx, np.diff(np.append(run_idx, total))
-    )
+    starts = np.asarray(starts, dtype=np.int64)
+    run_idx = np.cumsum(counts) - counts  # each doc's first token
+    has_tok = counts > 0
+    parent = np.repeat(np.arange(len(counts)), counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(run_idx, counts)
     gpos = starts[parent] + within
     seq = gpos // budget
-    new_seg = run_start.copy()
+    new_seg = np.zeros(total, bool)
+    new_seg[run_idx[has_tok]] = True
     new_seg[1:] |= seq[1:] != seq[:-1]
     seg_idx = np.flatnonzero(new_seg)
-    offsets = pa.array(np.append(seg_idx, total), pa.int64())
-    lists = pa.LargeListArray.from_arrays(
-        offsets, pc.cast(flat, pa.large_string())
-    )
+    # every token byte belongs to a segment; a space follows each token
+    # but a segment's last, taking the place of the gap's first byte
+    spaced = np.ones(total, bool)
+    spaced[np.append(seg_idx[1:], total) - 1] = False
+    keep = token_bytes(data)
+    keep[t1[spaced]] = True
+    out = data[keep]
+    width = t1 - t0 + spaced
+    out[np.cumsum(width)[spaced] - 1] = 0x20
+    offsets = np.zeros(len(seg_idx) + 1, np.int64)
+    np.cumsum(np.add.reduceat(width, seg_idx), out=offsets[1:])
     return pa.table(
         {
             "seq_id": pa.array(seq[seg_idx], pa.int64()),
             "seg_start": pa.array(gpos[seg_idx], pa.int64()),
-            "seg_text": pc.binary_join(lists, pa.scalar(" ", pa.large_string())),
+            "seg_text": pa.LargeStringArray.from_buffers(
+                len(seg_idx), pa.py_buffer(offsets), pa.py_buffer(out)
+            ),
         }
     )
 
@@ -364,11 +349,12 @@ def write_training_shards(
     then comes from one of two plans, chosen from the input row count
     (parquet footers) before anything runs:
 
-    - up to ``broadcast_limit`` input rows, ONE keys pass collects the
-      gated (doc_id, md5 key, n_tokens) rows (``training_keys``) to the
-      driver, which packs them as ``prepare_training_ds`` does
-      (``training_offsets``). The (doc_id, tok_start) pairs BROADCAST
-      back, so each doc slices its own segments locally;
+    - up to ``broadcast_limit`` input rows, the driver reads the gated
+      (doc_id, md5 key, n_tokens) rows every checkpoint partition wrote
+      next to its texts (``keys.parquet``, ``read_keys``) and packs them
+      as ``prepare_training_ds`` does (``training_offsets``). The
+      (doc_id, tok_start) pairs BROADCAST to the text read, so each doc
+      slices its own segments locally;
     - past the limit, ``prepare_training_ds(emit_offsets=True)`` computes
       the offsets in its keyed exchanges and a BUCKETED doc_id hash JOIN
       (one ``keyed_join`` exchange: text payloads hop once into their
@@ -376,12 +362,13 @@ def write_training_shards(
 
     Sequence assembly is then ONE keyed exchange of token payloads grouped
     by seq_id — each window's segments meet exactly once. Below the limit
-    the call runs two Ray Data executions: the keys pass and the write.
+    the call runs ONE Ray Data execution, which reads each text once:
+    read -> segments -> exchange -> write.
     Output rows: (seq_id, n_tokens, text). Returns a one-row summary
     table (n_seqs, n_tokens) from the packing itself: token position p
     lands in sequence p // budget, so n_seqs = ceil(n_tokens / budget).
 
-    SIZE NOTE: the keys pass lands 32 B per gated doc on the driver
+    SIZE NOTE: the keys land 32 B per gated doc on the driver
     (doc_id, the md5's two uint64 halves, n_tokens), and the packing
     peaks at ~90 B per doc with them. Measured on synthetic keys (2%
     copies, doc ids in ascending runs per block), one core: 10^6 keys
@@ -396,10 +383,10 @@ def write_training_shards(
 
     import ray
 
-    from ..functions.agg import collect, keyed_exchange, keyed_join, scaled_partitions
-    from ..functions.textops import prepare_training_ds, training_keys, training_offsets
+    from ..functions.agg import keyed_exchange, keyed_join, scaled_partitions
+    from ..functions.textops import prepare_training_ds, training_offsets
     from ..sources.pages import count_rows
-    from .extract import read_extracted, run_checkpoint
+    from .extract import read_extracted, read_keys, run_checkpoint
 
     run_checkpoint(
         input_path,
@@ -424,11 +411,11 @@ def write_training_shards(
             }
         )
 
-    docs = read_extracted(workdir).map_batches(_ok_docs, batch_format="pyarrow")
+    docs = read_extracted(workdir).map_batches(ok_docs, batch_format="pyarrow")
     n_rows = count_rows(input_path)
     if n_rows <= broadcast_limit:
-        keys = collect(docs.map_batches(training_keys, batch_format="pyarrow"))
-        if keys is None:
+        keys = read_keys(workdir)
+        if keys.num_rows == 0:
             return summary(0)
         ids, starts, total = training_offsets(keys)
         n_meta = len(ids)
@@ -471,10 +458,10 @@ def write_training_shards(
         )
 
     def assemble_bucket(group: pa.Table) -> pa.Table:
-        # ONE vectorized pass per hash BUCKET of sequences (a map_groups
-        # call per seq_id measured ~60 s at 187k seqs — the per-group
-        # Python killer): sort (seq_id, seg_start), cut at seq changes,
-        # binary_join the segment texts per sequence
+        # ONE vectorized pass per exchange block of whole sequences (a
+        # map_groups call per seq_id measured ~60 s at 187k seqs — the
+        # per-group Python killer): sort (seq_id, seg_start), cut at seq
+        # changes, binary_join the segment texts per sequence
         g = group.sort_by(
             [("seq_id", "ascending"), ("seg_start", "ascending")]
         )
@@ -530,6 +517,6 @@ def checkpointed_training(
     )
     extracted = read_extracted(workdir)
 
-    docs = extracted.map_batches(_ok_docs, batch_format="pyarrow")
+    docs = extracted.map_batches(ok_docs, batch_format="pyarrow")
     n_rows = count_rows(input_path)
     return prepare_training_ds(docs, n_rows, budget=budget)

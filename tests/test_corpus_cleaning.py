@@ -555,3 +555,24 @@ def test_docs_to_pages_vectorized_matches_scalar_builder():
         assert out["html"][i].as_py() == page, (d, t)
         assert out["url"][i].as_py() == f"https://testdata.local/doc/{d:08d}"
         assert out["warc_ts"][i].value == _EPOCH_US + d
+
+
+def test_shuffle_and_pack_on_empty_documents(ray_session, tmp_path):
+    """A documents table without rows gives each per-doc operator an empty
+    result with its schema, not an error."""
+    from pdf_extractor_ray.functions.textops import pack_sequences, shuffle_docs
+
+    d = tmp_path / "nodocs"
+    d.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}),
+        str(d / "documents.parquet"),
+    )
+    for fn, names in (
+        (shuffle_docs, ["doc_id", "shuffle_pos"]),
+        (pack_sequences, ["doc_id", "n_tokens", "seq_id"]),
+    ):
+        ds = fn(str(d))
+        assert ds.count() == 0
+        assert ds.schema().names == names
+        assert ds.schema().types == [pa.int64()] * len(names)

@@ -252,3 +252,111 @@ def test_training_offsets_match_bucketed_packing():
         g = keys.filter(pa.array(pp == b))
         packed.extend(g["doc_id"].to_numpy()[first_per_key(g)].tolist())
     assert packed == ref_ids
+
+
+_WS_SPLIT = r"[ \t\n\r\f\v]+"
+# ASCII whitespace next to characters a unicode-aware split would also
+# treat as whitespace (\x1c, \x85, NBSP, ideographic space): only the
+# former separate tokens
+_PIECES = [
+    "ab", "é", "日本", "x", " ", "  ", "\t", "\n", "\r\n", "\f", "\v",
+    "\x1c", "\x85", " ", "　",
+]
+
+
+def _ref_segments(docs, starts, budget):
+    """(seq_id, seg_start, seg_text) rows from ``re.split``: each doc's
+    tokens at global positions start, start + 1, ..., cut where the
+    window changes."""
+    rows = []
+    for text, start in zip(docs, starts):
+        toks = [w for w in re.split(_WS_SPLIT, text or "") if w]
+        for j, tok in enumerate(toks):
+            pos = start + j
+            if rows and j and rows[-1]["seq_id"] == pos // budget:
+                rows[-1]["seg_text"] += " " + tok
+            else:
+                rows.append({"seq_id": pos // budget, "seg_start": pos, "seg_text": tok})
+    return rows
+
+
+def test_ws_tokenizer_matches_regex_split():
+    """``ws_bounds`` (via ``_ws_tokens`` and ``_segments_table``) splits as
+    ``re.split`` on ASCII whitespace does: string and large_string,
+    sliced arrays, chunked arrays, empty and null docs."""
+    from pdf_extractor_ray.functions.textops import _ws_tokens
+    from pdf_extractor_ray.pipelines.webpages import _segments_table
+
+    rng = random.Random(3)
+    for case in range(400):
+        docs = [
+            None if rng.random() < 0.1
+            else "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 14)))
+            for _ in range(rng.randint(1, 9))
+        ]
+        arr = pa.array(docs, rng.choice([pa.string(), pa.large_string()]))
+        lo = rng.randint(0, len(docs) - 1) if case % 3 == 0 else 0
+        arr, docs = arr.slice(lo), docs[lo:]
+        if case % 2 and len(docs) > 1:
+            k = rng.randint(1, len(docs) - 1)
+            arr = pa.chunked_array([arr.slice(0, k), arr.slice(k)])
+        counts = [None if d is None else len([w for w in re.split(_WS_SPLIT, d) if w]) for d in docs]
+        assert _ws_tokens(arr).to_pylist() == counts, docs
+        order = list(range(len(docs)))
+        rng.shuffle(order)  # winners pack in key order, not doc order
+        starts, pos = [0] * len(docs), rng.randint(0, 5)
+        for i in order:
+            starts[i], pos = pos, pos + (counts[i] or 0)
+        for budget in (3, 512):
+            got = _segments_table(arr, starts, budget).to_pylist()
+            assert got == _ref_segments(docs, starts, budget), (docs, budget)
+
+
+def test_keys_product_and_stale_partition_resume(ray_session, small_corpus, tmp_path):
+    """Each doc-id checkpoint partition writes ``training_keys`` of its ok
+    rows as keys.parquet; a partition committed without one re-extracts,
+    alone, and the shards stay byte-identical."""
+    import os
+
+    from pdf_extractor_ray.functions.textops import training_keys
+    from pdf_extractor_ray.pipelines.extract import ok_docs
+    from pdf_extractor_ray.pipelines.webpages import write_training_shards
+
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    write_training_shards(small_corpus["corpus"], str(work), str(tmp_path / "a"), **kw)
+    parts = sorted(work.glob("part-*"))
+    assert len(parts) == 4
+    for part in parts:
+        ext = pq.read_table(part / "extracted.parquet")
+        assert pq.read_table(part / "keys.parquet").equals(training_keys(ok_docs(ext)))
+
+    def stamps():
+        return [os.stat(p / "_MANIFEST.json").st_mtime_ns for p in parts]
+
+    before = stamps()
+    (work / "part-2" / "keys.parquet").unlink()
+    write_training_shards(small_corpus["corpus"], str(work), str(tmp_path / "b"), **kw)
+    after = stamps()
+    assert [a != b for a, b in zip(before, after)] == [False, False, True, False]
+    assert (work / "part-2" / "keys.parquet").exists()
+    assert _read_shards(tmp_path / "a").equals(_read_shards(tmp_path / "b"))
+
+
+def test_partition_without_ok_rows_writes_empty_keys(ray_session, tmp_path):
+    """A partition none of whose rows extracts ``ok`` still commits a
+    zero-row keys.parquet, so a resume skips it."""
+    from pdf_extractor_ray.pipelines.extract import run_checkpoint
+
+    _write_pages(tmp_path / "pages", [[_long_text(20)], [_long_text(21)]])
+    empty = tmp_path / "pages" / "part-00001.parquet"
+    t = pq.read_table(empty)
+    i = t.column_names.index("html")
+    pq.write_table(t.set_column(i, "html", pa.array([b""], t["html"].type)), empty)
+    work = str(tmp_path / "work")
+    kw = dict(n_partitions=2, emit_pages=False, assign_doc_ids=True)
+    m = run_checkpoint(str(tmp_path / "pages"), work, resume=True, **kw)
+    assert m["n_ok"].to_pylist() == [1, 0]
+    keys = [pq.read_table(f"{work}/part-{p}/keys.parquet") for p in (0, 1)]
+    assert [k.num_rows for k in keys] == [1, 0]
+    assert keys[1].schema == keys[0].schema
+    assert run_checkpoint(str(tmp_path / "pages"), work, resume=True, **kw).num_rows == 0
