@@ -1,23 +1,29 @@
-"""Keyed exchanges and partial aggregation: every join and every
-hash-by-key exchange in the engine is one of two task-only primitives over
-Ray Data's sort shuffle (no aggregator actors, no actor pools):
+"""Keyed exchanges and partial aggregation: every join and every exchange
+the engine shuffles rows through is one of three task-only primitives over
+one sort shuffle, ``_by_bucket`` (no aggregator actors, no actor pools),
+each calling its function once per reduce block of whole buckets:
 
 - ``keyed_exchange(ds, keys, fn, n_parts)`` hash-tags each row by ``keys``
-  into one of ``n_parts`` buckets and calls ``fn`` once per reduce block
-  of whole buckets;
+  into one of ``n_parts`` buckets and calls ``fn`` on each block's rows;
 - ``keyed_join(left, right, on, right_on, how, n_parts)`` tags each side
-  on its own key and joins each bucket's left and right rows as two
+  on its own key and joins each block's left and right rows as two
   separate tables: ``how`` is a pyarrow ``Table.join`` type or a function
-  ``how(left_rows, right_rows)``.
+  ``how(left_rows, right_rows)``;
+- ``ordered_ranges(ds, key, bounds, n_parts, order, weights, emit)`` cuts
+  one total order into ``n_parts`` value ranges (``range_bucket``), totals
+  them, exclusive-scans the totals on the driver and hands each block its
+  rows in order with their global positions and prefix sums.
 
-The invariant both keep: one BUCKET (≈ keyed rows / ``n_parts``), not one
+The invariant they keep: one BUCKET (≈ keyed rows / ``n_parts``), not one
 key, must fit in a worker — raw-row exchanges size ``n_parts`` with
 ``scaled_partitions`` so a bucket stays bounded as the table grows, and
 every ``fn`` resolves all keys of its rows in one vectorized pass (the
-sort's reduce block, which the task holds whole either way).
-Stages that compute a bucket id of their own (ordered value or md5-prefix
-ranges, LSH band and shingle-hash buckets, pair-index buckets) or group by
-a low-cardinality column call ``groupby`` on it directly.
+sort's reduce block, which the task holds whole either way). A stage with
+a natural key of its own (LSH band key, shingle hash, pair index, cluster)
+passes that key to ``keyed_exchange``; a Python call per bucket, let alone
+per key, is never paid. Only ``groupby`` over a low-cardinality column
+(event type, market segment) and Ray's native ``groupby().aggregate()``
+stay outside this module.
 
 Aggregates combine inside ``map_batches`` first, so their exchange only
 moves tiny per-batch partials, never raw rows. Reference analog: the
@@ -42,6 +48,7 @@ import functools
 from collections.abc import Iterator
 from typing import Callable
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -140,6 +147,21 @@ def scaled_partitions(n_rows: int, rows_per_bucket: int = 500_000) -> int:
     return max(_N_AGG_PARTITIONS, n_rows // rows_per_bucket + 1)
 
 
+def _by_bucket(tagged: rd.Dataset, fn: Callable[[pa.Table], pa.Table]) -> rd.Dataset:
+    """The one exchange under every keyed primitive: sort ``tagged`` on its
+    ``__pp`` bucket id and call ``fn`` once per non-empty reduce block,
+    ``__pp`` dropped. Ray Data's sort puts every row of a bucket in one
+    block (the guarantee its own ``map_groups`` rests on), so a call holds
+    whole buckets, usually many. The Ray operator keeps ``fn``'s name."""
+
+    def run(block: pa.Table) -> Iterator[pa.Table]:
+        if block.num_rows:
+            yield fn(block.drop_columns(["__pp"]))
+
+    run.__name__ = getattr(fn, "func", fn).__name__
+    return tagged.sort("__pp").map_batches(run, batch_format="pyarrow", batch_size=None)
+
+
 def keyed_exchange(
     ds: rd.Dataset,
     keys: list[str],
@@ -148,24 +170,107 @@ def keyed_exchange(
 ) -> rd.Dataset:
     """Hash-bucket ``ds`` by ``keys`` into ``n_parts`` buckets and return the
     concatenation of ``fn(rows)`` over the exchange's non-empty reduce
-    blocks. Ray Data's sort on the bucket id puts every row of a bucket,
-    so of a key, in one block (the guarantee its own ``map_groups`` rests
-    on), and ``fn`` runs once per block: a call holds whole buckets of
-    many keys. The Ray operator keeps ``fn``'s name."""
+    blocks (``_by_bucket``): every row of a key meets in one call, and a
+    call holds the whole buckets of many keys, so ``fn`` must resolve
+    every key of its rows."""
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column("__pp", _hash_partition_column(batch, keys, n_parts))
 
-    def run(block: pa.Table) -> Iterator[pa.Table]:
-        if block.num_rows:
-            yield fn(block.drop_columns(["__pp"]))
+    return _by_bucket(ds.map_batches(tag, batch_format="pyarrow"), fn)
 
-    run.__name__ = getattr(fn, "func", fn).__name__
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .sort("__pp")
-        .map_batches(run, batch_format="pyarrow", batch_size=None)
-    )
+
+def range_bucket(v: np.ndarray, lo: int, hi: int, n_parts: int) -> np.ndarray:
+    """Order-preserving bucket of each integer ``v`` in ``[lo, hi]``:
+    ``n_parts`` equal value ranges, the id never decreasing as ``v`` grows.
+    ``v - lo`` is shifted right first when its product with ``n_parts``
+    would leave int64, so full-width uint64 keys bucket too."""
+    shift = max(0, (hi - lo).bit_length() + n_parts.bit_length() - 63)
+    off = ((v - lo) >> shift).astype(np.int64)
+    return off * n_parts // (((hi - lo) >> shift) + 1)
+
+
+def ordered_ranges(
+    ds: rd.Dataset,
+    key: str,
+    bounds: tuple[int, int],
+    n_parts: int,
+    order: list[tuple[str, str]] | Callable[[pa.Table], np.ndarray],
+    weights: list[str],
+    emit: Callable[[pa.Table, np.ndarray, np.ndarray], pa.Table],
+) -> rd.Dataset:
+    """Exact global positions and prefix sums over one total order of
+    ``ds``'s rows, without a global sort (Spark's ``zipWithIndex`` shape).
+    The order lists rows by ``key``, an integer column within ``bounds``,
+    first; ``order`` puts one block's rows in it: sort keys (every row
+    survives), or a function returning the indices, in order, of the rows
+    that survive (e.g. one row per duplicate group, which must share a
+    ``key``).
+
+    ``range_bucket`` of ``key`` cuts the order into ``n_parts`` ranges.
+    Pass 1 totals each range's surviving rows and ``weights`` columns: per
+    batch, summed through ``grouped_sum``, when ``order`` is sort keys; in
+    one range exchange that runs ``order`` on every block when it is a
+    function (survivors are only known once a range's rows meet; both
+    passes then read the tagged rows, so they are materialized once). The
+    driver exclusive-scans the totals into each range's base. Pass 2 is one
+    range exchange; per reduce block ``emit(rows, starts, totals)`` gets
+    the block's survivors in order, ``starts[:, 0]`` each one's global
+    position and ``starts[:, j]`` the global exclusive prefix sum of
+    ``weights[j - 1]``, and the grand totals in the same layout."""
+    lo, hi = bounds
+    cols = [f"__s{j}" for j in range(len(weights) + 1)]
+
+    def bucket_of(t: pa.Table) -> np.ndarray:
+        return range_bucket(t[key].to_numpy(), lo, hi, n_parts)
+
+    def arrange(t: pa.Table) -> pa.Table:
+        if callable(order):
+            return t.take(order(t))
+        return t.take(pc.sort_indices(t, sort_keys=order))
+
+    def matrix(t: pa.Table) -> np.ndarray:
+        w = [np.ones(t.num_rows, np.int64)]
+        w += [t[c].to_numpy().astype(np.int64, copy=False) for c in weights]
+        return np.stack(w, axis=1)
+
+    def totals_of(t: pa.Table) -> pa.Table:
+        b, inv = np.unique(bucket_of(t), return_inverse=True)
+        tot = np.zeros((len(b), len(cols)), np.int64)
+        np.add.at(tot, inv, matrix(t))
+        out = {"__b": pa.array(b, pa.int64())}
+        out.update({c: pa.array(tot[:, j]) for j, c in enumerate(cols)})
+        return pa.table(out)
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__pp", pa.array(bucket_of(batch)))
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    if callable(order):
+        tagged = tagged.materialize()
+        per = collect(_by_bucket(tagged, lambda t: totals_of(arrange(t))))
+    else:
+        per = collect(grouped_sum(ds, keys=["__b"], partial=totals_of, sum_cols=cols))
+    dense = np.zeros((n_parts, len(cols)), np.int64)
+    if per is not None:
+        sums = np.stack([per[c].to_numpy() for c in cols], axis=1)
+        np.add.at(dense, per["__b"].to_numpy(), sums)
+    base = np.zeros((n_parts + 1, len(cols)), np.int64)
+    np.cumsum(dense, axis=0, out=base[1:])
+
+    def scan(block: pa.Table) -> pa.Table:
+        t = arrange(block)
+        b = bucket_of(t)
+        if (np.diff(b) < 0).any():
+            raise ValueError(f"ordered_ranges: order must list rows by {key!r} first")
+        w = matrix(t)
+        local = np.cumsum(w, axis=0) - w
+        first = np.flatnonzero(np.diff(b, prepend=-1))
+        run_base = np.repeat(local[first], np.diff(np.append(first, len(b))), axis=0)
+        return emit(t, base[b] + local - run_base, base[-1])
+
+    scan.__name__ = getattr(emit, "func", emit).__name__
+    return _by_bucket(tagged, scan)
 
 
 def _known_schema(ds: rd.Dataset) -> pa.Schema | None:
@@ -187,22 +292,23 @@ def keyed_join(
 ) -> rd.Dataset:
     """Hash join in ONE exchange: each side is bucketed on its own key
     columns and every bucket's rows travel as arrow IPC payloads, so the
-    sides never share a schema. Per bucket that holds rows of either side,
-    the bucket's left and right rows meet as two tables: ``how`` names a
+    sides never share a schema. Per reduce block of the exchange
+    (``_by_bucket``: whole buckets, usually many), the block's left and
+    right rows are decoded once and meet as two tables: ``how`` names a
     pyarrow ``Table.join`` type (``inner``, ``left outer``, ``full outer``,
     ``left semi``, ``left anti``) or is a function ``how(l, r)`` that
-    returns the bucket's output.
+    returns the block's output and must resolve every key of its rows. A
+    join of several whole buckets is the union of their joins, since a key
+    never matches across buckets.
 
     Key columns must have the same type on both sides (any integer widths
     match); when Ray knows both schemas at plan time (``_known_schema``: parquet
     reads, materialized and in-memory datasets) a mismatch raises
-    ``ValueError``. A side with no rows in a bucket arrives as a zero-row
+    ``ValueError``. A side with no rows in a block arrives as a zero-row
     table: with the side's full schema when Ray knows it, else with only
     its key columns — so a custom ``how`` must not read other columns of
     an empty side, and the outer join types need the padded side's schema
     known."""
-    import numpy as np
-
     keys = (on, right_on)
     schemas = (_known_schema(left), _known_schema(right))
     if all(s is not None for s in schemas):
@@ -262,10 +368,10 @@ def keyed_join(
 
         return tag
 
-    def join_bucket(group: pa.Table) -> pa.Table:
+    def join_bucket(block: pa.Table) -> pa.Table:
         messages: dict[tuple[int, bytes], list] = {}
         for side, schema, buf in zip(
-            group["__side"].to_pylist(), group["__schema"].to_pylist(), group["__rows"]
+            block["__side"].to_pylist(), block["__schema"].to_pylist(), block["__rows"]
         ):
             messages.setdefault((side, schema), []).append(buf.as_buffer())
         parts: tuple[list, list] = ([], [])
@@ -297,7 +403,7 @@ def keyed_join(
         right.map_batches(pack(1), batch_format="pyarrow")
     )
     join_bucket.__name__ = getattr(fn, "func", fn).__name__
-    return tagged.groupby("__pp").map_groups(join_bucket, batch_format="pyarrow")
+    return _by_bucket(tagged, join_bucket)
 
 
 def combine_partials(

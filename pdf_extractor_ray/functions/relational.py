@@ -209,6 +209,7 @@ def events_by_type(sf_dir: str) -> rd.Dataset:
             aggs=[("n_events", "sum"), ("sum_value_c", "sum")],
         )
 
+    # native aggregate: Ray combines the partials vectorized, no per-group call
     per_user = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(["event_type", "user_id"])
@@ -880,6 +881,7 @@ def top_orders_per_segment(sf_dir: str, k: int = 3) -> rd.Dataset:
         )
 
     pruned = joined.map_batches(partial, batch_format="pyarrow")
+    # low-cardinality key (five market segments): one group per segment
     return pruned.groupby("c_mktsegment").map_groups(combine, batch_format="pyarrow")
 
 
@@ -1143,6 +1145,7 @@ def value_p95_by_type(sf_dir: str) -> rd.Dataset:
         raise AssertionError("rank <= n: the cumulative walk always returns")
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
+    # low-cardinality key (a handful of event types): one group per type
     return partials.groupby("event_type").map_groups(walk, batch_format="pyarrow")
 
 
@@ -2595,11 +2598,12 @@ def orders_events_window(sf_dir: str) -> rd.Dataset:
 
 def _order_global_rank(sf_dir: str, finalize) -> rd.Dataset:
     """Shared two-pass exact-global-rank machinery (see order_ntile doc
-    comment above): ``finalize(r, n_total)`` maps the 0-based global rank
-    array of one bin to the output column ``(name, pa.Array)``."""
+    comment above; ``agg.ordered_ranges`` over cents ranges):
+    ``finalize(r, n_total)`` maps the 0-based global ranks of one exchange
+    block's rows to the output column ``(name, pa.Array)``."""
     import numpy as np
 
-    from .agg import partial_group_agg, scaled_partitions
+    from .agg import ordered_ranges, scaled_partitions
 
     path = f"{sf_dir}/orders.parquet"
     md = pq.read_metadata(path)
@@ -2630,54 +2634,24 @@ def _order_global_rank(sf_dir: str, finalize) -> rd.Dataset:
         f_max = ds.max("o_totalprice")
     c_min = int(np.floor(f_min * 100)) - 1
     c_max = int(np.ceil(f_max * 100)) + 1
-    span = c_max - c_min + 1
 
-    def bin_of(c: "np.ndarray") -> "np.ndarray":
-        return (c - c_min) * n_parts // span
-
-    def bin_partial(batch: pa.Table) -> pa.Table:
-        c = cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "b": pa.array(bin_of(c)),
-                "n": pa.array(np.ones(len(c), dtype=np.int64)),
-            }
-        )
-        return partial_group_agg(t, keys=["b"], aggs=[("n", "sum")])
-
-    totals = (
-        ds.map_batches(bin_partial, batch_format="pyarrow")
-        .groupby("b")
-        .sum("n")
-        .to_pandas()
-    )
-    per_bin = np.zeros(n_parts, dtype=np.int64)
-    per_bin[totals["b"].to_numpy()] = totals["sum(n)"].to_numpy()
-    base = np.zeros(n_parts + 1, dtype=np.int64)
-    np.cumsum(per_bin, out=base[1:])
-    n_total = int(base[-1])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        c = cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
+    def cents_of(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "o_orderkey": batch["o_orderkey"],
-                "c": pa.array(c, pa.int64()),
-                "__pp": pa.array(bin_of(c)),
-            }
+            {"o_orderkey": batch["o_orderkey"], "c": cents(batch["o_totalprice"])}
         )
 
-    def rank(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("c", "ascending"), ("o_orderkey", "ascending")])
-        b = int(t["__pp"][0].as_py())
-        r = base[b] + np.arange(t.num_rows, dtype=np.int64)
-        name, col = finalize(r, n_total)
+    def rank(t: pa.Table, starts: "np.ndarray", totals: "np.ndarray") -> pa.Table:
+        name, col = finalize(starts[:, 0], int(totals[0]))
         return pa.table({"o_orderkey": t["o_orderkey"], name: col})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(rank, batch_format="pyarrow")
+    return ordered_ranges(
+        ds.map_batches(cents_of, batch_format="pyarrow"),
+        "c",
+        (c_min, c_max),
+        n_parts,
+        [("c", "ascending"), ("o_orderkey", "ascending")],
+        [],
+        rank,
     )
 
 
@@ -3396,6 +3370,7 @@ def value_trimmed_mean(sf_dir: str, pct: int = 5) -> rd.Dataset:
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
+    # low-cardinality key (a handful of event types): one group per type
     return partials.groupby("event_type").map_groups(trim, batch_format="pyarrow")
 
 
@@ -3455,6 +3430,7 @@ def value_mad_by_type(sf_dir: str) -> pa.Table:
         )
 
     hists = ds.map_batches(partial, batch_format="pyarrow")
+    # low-cardinality key (a handful of event types): one group per type
     med_t = collect(
         hists.groupby("event_type").map_groups(median2_of, batch_format="pyarrow")
     )
@@ -3493,6 +3469,7 @@ def value_mad_by_type(sf_dir: str) -> pa.Table:
             }
         )
 
+    # low-cardinality key (a handful of event types): one group per type
     out = collect(
         ds.map_batches(dev_partial, batch_format="pyarrow")
         .groupby("event_type")
@@ -3644,6 +3621,7 @@ def value_log_moments(sf_dir: str) -> rd.Dataset:
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
+    # low-cardinality key (a handful of event types): one group per type
     return partials.groupby("event_type").map_groups(logsum, batch_format="pyarrow")
 
 

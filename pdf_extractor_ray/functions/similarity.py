@@ -103,6 +103,17 @@ def _n_planes_for(n_rows: int, target_bucket: int = 64) -> int:
     return max(3, min(24, int(math.log2(max(n_rows, 2) / target_bucket + 1)) + 3))
 
 
+def _key_runs(block: pa.Table, key: str) -> list[pa.Table]:
+    """An exchange block's rows as one table per ``key`` value, ordered by
+    (``key``, ``vec_id``): a block holds the whole buckets of many keys,
+    and a per-bucket step (all-pairs, union-find) runs on each run."""
+    t = block.sort_by([(key, "ascending"), ("vec_id", "ascending")])
+    k = t[key].to_numpy()
+    starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+    ends = np.append(starts[1:], len(k))
+    return [t.slice(a, b - a) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
 def _table_rows(sf_dir: str) -> int:
     import pyarrow.parquet as _pq
 
@@ -510,7 +521,7 @@ def _near_dup_pairs_ds(sf_dir: str, threshold: float = 0.95):
     rounded cosine — callers that need the deduped driver table collect
     via ``embedding_near_dup``; clustering consumes this directly (dup
     edges are harmless to connected components)."""
-    from .agg import instance_stage
+    from .agg import instance_stage, keyed_exchange, scaled_partitions
 
     dim = _emb_dim(sf_dir)
     n_planes = _n_planes_for(_table_rows(sf_dir), target_bucket=100)
@@ -522,7 +533,7 @@ def _near_dup_pairs_ds(sf_dir: str, threshold: float = 0.95):
         n_tables=_ND_TABLES,
     )
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
+    def run_pairs(group: pa.Table) -> pa.Table:
         n = group.num_rows
         a_np = b_np = s_np = None
         if n > 500:
@@ -563,7 +574,15 @@ def _near_dup_pairs_ds(sf_dir: str, threshold: float = 0.95):
             }
         )
 
-    return coded.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        return pa.concat_tables([run_pairs(r) for r in _key_runs(block, "bucket")])
+
+    return keyed_exchange(
+        coded,
+        ["bucket"],
+        bucket_pairs,
+        scaled_partitions(_table_rows(sf_dir) * _ND_TABLES),
+    )
 
 
 def embedding_near_dup(sf_dir: str, threshold: float = 0.95) -> pa.Table:
@@ -633,8 +652,8 @@ def near_dup_groups(sf_dir: str, threshold: float = 0.95) -> pa.Table:
 # emits per-batch (cluster, count, vector-sum) partials (k x dim floats per
 # batch, KBs on the wire), the driver reduces k rows. Centroids are
 # broadcast via the task closure (object store on a cluster). The
-# per-cluster dedup runs inside groupby(cluster).map_groups, so all-pairs
-# work is bounded by the largest cluster, never the corpus.
+# per-cluster dedup runs on each cluster's run of a keyed exchange block,
+# so all-pairs work is bounded by the largest cluster, never the corpus.
 # -------------------------------------------------------------------------
 
 _KM_SEED = 0xC1A5
@@ -784,23 +803,14 @@ def semdedup(sf_dir: str, threshold: float = 0.95, k: int = 8) -> pa.Table:
     (vec_id, cluster_id, keep) for every vector — keep=false rows are the
     semantic duplicates a curation pipeline drops.
 
-    All-pairs work happens only inside groupby(cluster).map_groups, bounded
-    by the largest cluster; clusters above _SEMDEDUP_STAR_CAP fall back to
-    a linear star-verify against the cluster's min-id representative."""
+    All-pairs work happens only within one cluster's rows (a keyed
+    exchange on the cluster id), bounded by the largest cluster; clusters
+    above _SEMDEDUP_STAR_CAP fall back to a linear star-verify against the
+    cluster's min-id representative."""
     cent = _kmeans_centroids(sf_dir, k)
     assigned = _assign_clusters(_read_emb(sf_dir), cent)
 
     def dedup_in_cluster(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "vec_id": pa.array([], pa.int64()),
-                "cluster_id": pa.array([], pa.int64()),
-                "keep": pa.array([], pa.bool_()),
-            }
-        )
-        # Ray 2.49 emits zero-column blocks for empty shuffle partitions
-        if group.num_columns == 0 or group.num_rows == 0:
-            return empty
         ids = group["vec_id"].to_numpy(zero_copy_only=False)
         cl = int(group["cluster"][0].as_py())  # raw id; canonicalized post-collect
         n = len(ids)
@@ -840,11 +850,19 @@ def semdedup(sf_dir: str, threshold: float = 0.95, k: int = 8) -> pa.Table:
             }
         )
 
-    from .agg import collect
+    from .agg import collect, keyed_exchange, scaled_partitions
+
+    def dedup_block(block: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [dedup_in_cluster(r) for r in _key_runs(block, "cluster")]
+        )
 
     out = collect(
-        assigned.groupby("cluster").map_groups(
-            dedup_in_cluster, batch_format="pyarrow"
+        keyed_exchange(
+            assigned,
+            ["cluster"],
+            dedup_block,
+            scaled_partitions(_table_rows(sf_dir)),
         )
     )
     if out is None:

@@ -12,10 +12,9 @@ stateful ones (compiled regexes, permutation tables) are callable classes
 with state built in ``__init__``, run as cached task transforms
 (``agg.instance_stage``). The exchanges:
 
-* exact dedup: one groupby on a 64-bit text hash (not the text itself — the
-  key that moves is 8 bytes/row);
-* MinHash-LSH: flat_map to (band_key, doc) then groupby(band_key) — only
-  candidate buckets co-locate, never the corpus;
+* exact dedup: one keyed exchange on the text's md5 (not the text itself);
+* MinHash-LSH: flat_map to (band_key, doc) then one keyed exchange on
+  band_key — only candidate buckets co-locate, never the corpus;
 * SimHash: per-doc 64-bit signature, near-dup candidates via 16-bit band
   blocking (4 bands, Hamming radius <=3 guaranteed caught).
 """
@@ -463,8 +462,8 @@ def lang_id(sf_dir: str) -> rd.Dataset:
 
 # -------------------------------------------------------------------------
 # MinHash + LSH near-dup detection (rows-only).
-# shingle (3-word) -> 64 minhashes -> 16 bands x 4 rows -> groupby(band key)
-# -> candidate pairs verified by true shingle-set Jaccard.
+# shingle (3-word) -> 64 minhashes -> 16 bands x 4 rows -> keyed exchange
+# on the band key -> candidate pairs verified by true shingle-set Jaccard.
 # -------------------------------------------------------------------------
 
 _N_HASH = 64
@@ -546,14 +545,13 @@ def minhash_signatures(sf_dir: str) -> rd.Dataset:
 
 
 def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table:
-    """Near-duplicate pairs: LSH banding -> groupby(band) -> verified pairs,
-    deduped across bands. Returns (doc_a, doc_b, jaccard_pct)."""
-    import pyarrow.parquet as _pq
+    """Near-duplicate pairs: LSH banding -> keyed exchange on the band key ->
+    verified pairs, deduped across bands. Returns (doc_a, doc_b,
+    jaccard_pct)."""
+    import ray
 
-    from .agg import scaled_partitions
+    from .agg import keyed_exchange, scaled_partitions
 
-    n_docs = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    band_buckets = max(2048, scaled_partitions(n_docs * _N_BANDS))
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     sigs = instance_stage(ds, MinHasher)
 
@@ -564,25 +562,18 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
         ):
             doc_ids.extend([d] * len(ks))
             keys.extend(ks)
-        karr = np.asarray(keys, dtype=np.int64)
         return pa.table(
             {
-                # coarse bucket caps the groupby's group cardinality (a
-                # per-band-key map_groups paid one Python group call per
-                # distinct band key — the dominant cost of this query at
-                # sf0.1); count scales with posting volume so one bucket
-                # fits a worker
-                "bucket": pa.array(karr % band_buckets),
-                "band_key": pa.array(karr),
+                "band_key": pa.array(np.asarray(keys, dtype=np.int64)),
                 "doc_id": pa.array(doc_ids, pa.int64()),
             }
         )
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        # all band-key runs of one coarse bucket: sort by (band_key,
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        # every band-key run of one exchange block: sort by (band_key,
         # doc_id), vectorized run boundaries, per-run pair emission
-        keys = np.asarray(group["band_key"].to_numpy(zero_copy_only=False))
-        ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False))
+        keys = np.asarray(block["band_key"].to_numpy(zero_copy_only=False))
+        ids = np.asarray(block["doc_id"].to_numpy(zero_copy_only=False))
         order = np.lexsort((ids, keys))
         keys, ids = keys[order], ids[order]
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
@@ -617,19 +608,11 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
             }
         )
 
-    import ray
-
-    # bound the band shuffle's partition count by DATA volume (16 exploded
-    # rows per doc), capped at 4x CPUs: Ray's sort shuffle otherwise scales
-    # partitions with upstream block count and its fixed overhead dominates
-    # small corpora (measured 2.3s -> 0.9s at 32 CPUs, sf0.1)
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n_parts = max(16, min(4 * cpus, (n_docs * _N_BANDS) // 1_000_000 + 1))
-    candidates = (
-        sigs.map_batches(explode_bands, batch_format="pyarrow")
-        .repartition(n_parts)
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    candidates = keyed_exchange(
+        sigs.map_batches(explode_bands, batch_format="pyarrow"),
+        ["band_key"],
+        bucket_pairs,
+        _doc_parts(sf_dir, _N_BANDS),
     )
 
     empty = pa.table(
@@ -700,10 +683,8 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
     csr_ref = ray.put((need_np, indptr, side_pidx[order], side_flag[order]))
     pairs_ref = ray.put(pairs_np)
 
-    n_ver_buckets = max(256, scaled_partitions(2 * n_pairs))
-
     # shingle sets for candidate docs only, computed inside the cluster and
-    # emitted once per pair membership, keyed by a coarse PAIR bucket
+    # emitted once per pair membership, keyed by the PAIR index
     # (broadcast-filter semi-join: the corpus streams, never shuffles).
     # This replaces the previous pairs-x-shingles distributed hash join —
     # the join moved every shingle set through two exchanges to meet its
@@ -723,7 +704,6 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
         sh = [_shingles(t).tobytes() for t in b["text"].to_pylist()]
         return pa.table(
             {
-                "__pb": pa.array(pidx % n_ver_buckets),
                 "pidx": pa.array(pidx),
                 "side": pa.array(side_s[take]),
                 "sh": pa.array(
@@ -737,13 +717,12 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
         _shingle_emit, batch_format="pyarrow"
     )
 
-    # verification is bucketed by pair hash — NOT groupby(pair), which pays
-    # one Python map_groups call per pair (the per-group killer: millions of
-    # verified candidates at corpus scale = millions of Ray group calls).
-    # One coarse bucket verifies all its pair runs with numpy set
-    # intersections on the packed shingle buffers.
-    def _verify_bucket(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("pidx", "ascending"), ("side", "ascending")])
+    # verification is one keyed exchange on the pair index — never a call
+    # per pair (the per-group killer: millions of verified candidates at
+    # corpus scale). One exchange block verifies all its pair runs with
+    # numpy set intersections on the packed shingle buffers.
+    def _verify_bucket(block: pa.Table) -> pa.Table:
+        t = block.sort_by([("pidx", "ascending"), ("side", "ascending")])
         P = t["pidx"].to_numpy(zero_copy_only=False)
         S = t["side"].to_numpy(zero_copy_only=False)
         sh = t["sh"].to_pylist()
@@ -780,8 +759,8 @@ def minhash_dedup_pairs(sf_dir: str, jaccard_threshold: float = 0.5) -> pa.Table
             }
         )
 
-    verified = emitted.groupby("__pb").map_groups(
-        _verify_bucket, batch_format="pyarrow"
+    verified = keyed_exchange(
+        emitted, ["pidx"], _verify_bucket, scaled_partitions(2 * n_pairs)
     )
     out = collect(verified)
     if out is None:
@@ -850,16 +829,8 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
             "4x16-bit banding is only complete for max_hamming <= 3 "
             "(pigeonhole needs max_hamming+1 bands)"
         )
-    import pyarrow.parquet as _pq
+    from .agg import keyed_exchange
 
-    from .agg import scaled_partitions
-
-    band_buckets = max(
-        2048,
-        scaled_partitions(
-            _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows * 4
-        ),
-    )
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     sigs = instance_stage(ds, SimHasher)
 
@@ -874,14 +845,9 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
                 keys.append((b << 16) | ((h >> (16 * b)) & 0xFFFF))
                 out_ids.append(d)
                 out_hs.append(h)
-        karr = np.asarray(keys, dtype=np.int64)
         return pa.table(
             {
-                # coarse bucket caps group cardinality (a per-band-key
-                # map_groups paid one Python call per distinct key, 4x
-                # docs); count scales with posting volume
-                "bucket": pa.array(karr % band_buckets),
-                "band_key": pa.array(karr),
+                "band_key": pa.array(np.asarray(keys, dtype=np.int64)),
                 "doc_id": pa.array(out_ids, pa.int64()),
                 "simhash": pa.array(out_hs, pa.uint64()),
             }
@@ -939,13 +905,13 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
                         emit(star, j, ham)
         return a_out, b_out, h_out
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        # all band-key runs of one coarse bucket: vectorized run-boundary
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        # every band-key run of one exchange block: vectorized run-boundary
         # detection; only runs with >= 2 postings (actual collisions) pay
         # the Python verification loop
-        keys = np.asarray(group["band_key"].to_numpy(zero_copy_only=False))
-        ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False))
-        hs = np.asarray(group["simhash"].to_numpy(zero_copy_only=False))
+        keys = np.asarray(block["band_key"].to_numpy(zero_copy_only=False))
+        ids = np.asarray(block["doc_id"].to_numpy(zero_copy_only=False))
+        hs = np.asarray(block["simhash"].to_numpy(zero_copy_only=False))
         order = np.lexsort((ids, keys))
         keys, ids, hs = keys[order], ids[order], hs[order]
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
@@ -968,10 +934,11 @@ def simhash_dedup_pairs(sf_dir: str, max_hamming: int = 3) -> pa.Table:
             }
         )
 
-    verified = (
-        sigs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    verified = keyed_exchange(
+        sigs.map_batches(explode, batch_format="pyarrow"),
+        ["band_key"],
+        bucket_pairs,
+        _doc_parts(sf_dir, 4),
     )
     out = collect(verified)
     if out is None:
@@ -1250,26 +1217,25 @@ def sample_docs(sf_dir: str, pct: int = 10) -> rd.Dataset:
 # distributed inverted shingle index (no all-pairs pass, no text re-join):
 #
 #   1. per doc: distinct 3-word shingle set -> 63-bit hashes + set size,
-#      exploded to (bucket, sh, doc_id, n_sh) postings (map_batches,
-#      streaming), bucket = sh mod n_buckets;
-#   2. groupby(bucket): one task per COARSE bucket (not per shingle — a
-#      per-shingle map_groups paid ~27k Python group calls, 2/3 of the
+#      exploded to (sh, doc_id, n_sh) postings (map_batches, streaming);
+#   2. keyed exchange on sh: one call per exchange block (not per shingle
+#      — a per-shingle map_groups paid ~27k Python group calls, 2/3 of the
 #      query's wall time) processes every shingle run inside it with
 #      vectorized run-boundary detection; each run of df docs emits its
 #      triu co-occurrence pairs (df=1 runs emit nothing; measured max df
 #      25 at sf0.1);
-#   3. groupby(doc_a, doc_b) NATIVE aggregate: the number of postings a
-#      pair shares IS the intersection size, and |A∪B| = n_a + n_b − |A∩B|,
-#      so Jaccard is exact from counts alone — texts never travel again.
+#   3. keyed exchange on (doc_a, doc_b) of per-batch pair partials: the
+#      number of postings a pair shares IS the intersection size, and
+#      |A∪B| = n_a + n_b − |A∩B|, so Jaccard is exact from counts alone —
+#      texts never travel again.
 #
 # The threshold test is pure integer math (inter*den >= uni*num), so the
 # DuckDB oracle (list_intersect over the actual string shingle sets)
 # hash-matches bit-for-bit; 63-bit shingle hashing makes a cross-doc
 # collision (which would inflate `inter`) vanishingly unlikely at any df.
 #
-# Scale guards: `n_buckets` (floor 2048, scaled with posting volume so a
-# bucket fits a worker) caps the exchange's group cardinality; a
-# boilerplate shingle shared by millions of docs would make step 2
+# Scale guards: the postings exchange's bucket count scales with posting
+# volume (~150 per doc), so a bucket fits a worker; a boilerplate shingle shared by millions of docs would make step 2
 # quadratic in its df, so runs longer than `max_df` are dropped with the
 # standard justification (PPJoin/prefix-filter literature): a shingle that
 # common carries ~zero Jaccard evidence. Exactness holds whenever df <=
@@ -1306,26 +1272,15 @@ def ngram_jaccard_pairs(
     threshold_num: int = 1,
     threshold_den: int = 2,
     max_df: int = 1_000,
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Pairs with shingle-set Jaccard >= threshold_num/threshold_den.
     Returns (doc_a, doc_b, inter, uni) — all exact int64 counts.
     ``max_df`` bounds the worst single-run pair emission at
     ~max_df²/2 (500k at the default — triu(10k) would allocate 50M pairs
     from ONE boilerplate shingle)."""
-    import pyarrow.parquet as pq
-
-    from .agg import keyed_exchange, scaled_partitions
+    from .agg import keyed_exchange
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    if n_buckets is None:
-        # postings ≈ docs x ~150 distinct shingles; one bucket per ~500k
-        n_buckets = max(
-            2048,
-            scaled_partitions(
-                pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows * 150
-            ),
-        )
 
     def explode(batch: pa.Table) -> pa.Table:
         sh_all: list[np.ndarray] = []
@@ -1343,19 +1298,18 @@ def ngram_jaccard_pairs(
         )
         return pa.table(
             {
-                "bucket": pa.array(sh % n_buckets),
                 "sh": pa.array(sh),
                 "doc_id": pa.array(doc_ids, pa.int64()),
                 "n_sh": pa.array(n_shs, pa.int64()),
             }
         )
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        # all shingle runs of one coarse bucket, vectorized: sort postings
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        # every shingle run of one exchange block, vectorized: sort postings
         # by (sh, doc_id), find run boundaries, emit triu pairs per run
-        sh = np.asarray(group["sh"].to_numpy(zero_copy_only=False))
-        ids = np.asarray(group["doc_id"].to_numpy(zero_copy_only=False))
-        ns = np.asarray(group["n_sh"].to_numpy(zero_copy_only=False))
+        sh = np.asarray(block["sh"].to_numpy(zero_copy_only=False))
+        ids = np.asarray(block["doc_id"].to_numpy(zero_copy_only=False))
+        ns = np.asarray(block["n_sh"].to_numpy(zero_copy_only=False))
         order = np.lexsort((ids, sh))
         sh, ids, ns = sh[order], ids[order], ns[order]
         starts = np.flatnonzero(np.concatenate([[True], sh[1:] != sh[:-1]]))
@@ -1389,8 +1343,8 @@ def ngram_jaccard_pairs(
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         # collapse duplicate pairs within the batch; the pair-count combine
-        # then runs as ONE pyarrow group_by per hash bucket of pairs instead
-        # of Ray's per-group machinery — candidate pairs are mostly
+        # then runs as ONE pyarrow group_by per exchange block of pairs
+        # instead of Ray's per-group machinery — candidate pairs are mostly
         # distinct, and a native groupby over millions of distinct keys
         # measured >200x slower than 256 coarse groups each combined
         # vectorized.
@@ -1430,9 +1384,11 @@ def ngram_jaccard_pairs(
             }
         ).filter(keep)
 
-    postings = ds.map_batches(explode, batch_format="pyarrow")
-    pairs = postings.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow"
+    pairs = keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["sh"],
+        bucket_pairs,
+        _doc_parts(sf_dir, 150),
     )
     return keyed_exchange(
         pairs.map_batches(pair_partial, batch_format="pyarrow"),
@@ -1514,6 +1470,7 @@ def doc_top_terms(sf_dir: str, k: int = 3) -> rd.Dataset:
         )
         return partial_group_agg(t, keys=["term"], aggs=[("d", "sum")])
 
+    # native aggregate: Ray combines the partials vectorized, no per-group call
     df_tbl = collect(
         ds.map_batches(df_partial, batch_format="pyarrow")
         .groupby("term")
@@ -1789,12 +1746,12 @@ def repetition_stats(sf_dir: str) -> rd.Dataset:
 # pack_sequences — deterministic document packing for training: docs in
 # doc_id order are chunked into training sequences by token prefix sums
 # (seq_id = exclusive-cumsum(tokens) // budget). Distributed exactly like
-# Spark's zipWithIndex: pass 1 computes per-ordered-bucket token totals
-# (tiny: one row per bucket, collected and exclusive-scanned on the
-# driver), pass 2 re-tokenizes and adds local cumsum + bucket base — no
-# global sort, no full materialization; the doc_id range comes free from
-# the parquet footer stats. Token definition shared with token_count
-# (``ws_bounds``).
+# Spark's zipWithIndex (``agg.ordered_ranges`` over doc_id ranges): pass 1
+# computes per-range token totals (tiny: one row per range, collected and
+# exclusive-scanned on the driver), pass 2 re-tokenizes and adds local
+# cumsum + range base — no global sort, no full materialization; the
+# doc_id range comes free from the parquet footer stats. Token definition
+# shared with token_count (``ws_bounds``).
 # -------------------------------------------------------------------------
 
 
@@ -1830,7 +1787,7 @@ def _id_range_from_footer(path: str, column: str) -> tuple[int, int]:
 def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
     import pyarrow.parquet as pq
 
-    from .agg import scaled_partitions
+    from .agg import ordered_ranges, scaled_partitions
 
     path = f"{sf_dir}/documents.parquet"
     n_rows = pq.read_metadata(path).num_rows
@@ -1838,65 +1795,25 @@ def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
         return _empty_docs_result(
             path, {"n_tokens": pa.int64(), "seq_id": pa.int64()}
         )
-    lo, hi = _id_range_from_footer(path, "doc_id")
-    n_parts = scaled_partitions(n_rows)
-    span = hi - lo + 1
 
-    def bucket_of(ids: np.ndarray) -> np.ndarray:
-        return (ids - lo) * n_parts // span
-
-    # pass 1: per-bucket token totals (n_parts rows -> driver scan)
-    def bucket_partial(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "b": pa.array(bucket_of(ids)),
-                "tok": _ws_tokens(batch["text"]),
-            }
-        )
-        return partial_group_agg(t, keys=["b"], aggs=[("tok", "sum")])
-
-    ds = _read_docs(sf_dir, ["doc_id", "text"])
-    totals = (
-        ds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("b")
-        .sum("tok")
-        .to_pandas()
-    )
-    per_bucket = np.zeros(n_parts, dtype=np.int64)
-    per_bucket[totals["b"].to_numpy()] = totals["sum(tok)"].to_numpy()
-    base = np.zeros(n_parts + 1, dtype=np.int64)
-    np.cumsum(per_bucket, out=base[1:])
-
-    # pass 2: within each ordered bucket, sort by doc_id, local cumsum +
-    # the bucket's base offset -> global exclusive prefix sum
-    def tag(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+    def tokens(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_tokens": _ws_tokens(batch["text"]),
-                "__pp": pa.array(bucket_of(ids)),
-            }
+            {"doc_id": batch["doc_id"], "n_tokens": _ws_tokens(batch["text"])}
         )
 
-    def pack(group: pa.Table) -> pa.Table:
-        t = group.sort_by("doc_id")
-        tok = t["n_tokens"].to_numpy(zero_copy_only=False)
-        b = int(t["__pp"][0].as_py())
-        excl = base[b] + np.cumsum(tok) - tok
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_tokens": t["n_tokens"],
-                "seq_id": pa.array(excl // budget, pa.int64()),
-            }
-        )
+    def pack(t: pa.Table, starts: np.ndarray, _totals: np.ndarray) -> pa.Table:
+        return t.append_column("seq_id", pa.array(starts[:, 1] // budget))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(pack, batch_format="pyarrow")
+    return ordered_ranges(
+        _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+            tokens, batch_format="pyarrow"
+        ),
+        "doc_id",
+        _id_range_from_footer(path, "doc_id"),
+        scaled_partitions(n_rows),
+        [("doc_id", "ascending")],
+        ["n_tokens"],
+        pack,
     )
 
 
@@ -1906,8 +1823,8 @@ def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
 # deterministic sample_docs subset (md5 bucket < pct%) plays the held-out
 # benchmark; every OTHER doc reports how many of its distinct 3-word
 # shingles appear anywhere in the benchmark. Same distributed inverted
-# shingle index as ngram_jaccard_pairs — postings bucketed by shingle
-# hash, membership tested per coarse bucket with ONE vectorized is_in,
+# shingle index as ngram_jaccard_pairs — postings keyed by shingle hash,
+# membership tested per exchange block with ONE vectorized is_in,
 # per-doc partial counts re-keyed through the scale-aware grouped_sum —
 # so neither the benchmark shingle set nor any doc pair list is ever
 # broadcast or collected. Returns (doc_id, n_shingles, n_hits) for every
@@ -1916,17 +1833,9 @@ def pack_sequences(sf_dir: str, budget: int = 512) -> rd.Dataset:
 
 
 def decontaminate(sf_dir: str, pct: int = 10) -> rd.Dataset:
-    import pyarrow.parquet as pq
-
-    from .agg import grouped_sum, scaled_partitions
+    from .agg import grouped_sum, keyed_exchange
 
     cut = (256 * pct) // 100
-    n_buckets = max(
-        2048,
-        scaled_partitions(
-            pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows * 150
-        ),
-    )
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1946,17 +1855,18 @@ def decontaminate(sf_dir: str, pct: int = 10) -> rd.Dataset:
         )
         return pa.table(
             {
-                "bucket": pa.array(sh % n_buckets),
                 "sh": pa.array(sh),
                 "doc_id": pa.array(np.asarray(doc_ids, dtype=np.int64)),
                 "bench": pa.array(np.asarray(bench, dtype=bool)),
             }
         )
 
-    def probe(group: pa.Table) -> pa.Table:
-        is_b = group["bench"]
-        bench_sh = pc.unique(group.filter(is_b)["sh"].combine_chunks())
-        cand = group.filter(pc.invert(is_b))
+    def probe(block: pa.Table) -> pa.Table:
+        # every posting of a shingle is in this block, so its benchmark
+        # membership is decided here
+        is_b = block["bench"]
+        bench_sh = pc.unique(block.filter(is_b)["sh"].combine_chunks())
+        cand = block.filter(pc.invert(is_b))
         if cand.num_rows == 0:
             return pa.table(
                 {
@@ -1983,13 +1893,14 @@ def decontaminate(sf_dir: str, pct: int = 10) -> rd.Dataset:
             aggs=[("n_shingles", "sum"), ("n_hits", "sum")],
         )
 
-    per_bucket = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(probe, batch_format="pyarrow")
+    per_block = keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["sh"],
+        probe,
+        _doc_parts(sf_dir, 150),
     )
     return grouped_sum(
-        per_bucket,
+        per_block,
         keys=["doc_id"],
         partial=lambda b: partial_group_agg(
             b,
@@ -2458,11 +2369,12 @@ def split_assign(sf_dir: str) -> rd.Dataset:
 # -------------------------------------------------------------------------
 # shuffle_docs — deterministic global training-order shuffle: every doc
 # gets shuffle_pos = its rank under md5("{doc_id}:{seed}") hash order.
-# The distributed zipWithIndex shape WITHOUT a global sort operator:
-# md5 is uniform, so ordered key-RANGE buckets (first 32 hash bits scaled
-# to n_parts) are balanced by construction; pass 1 counts rows per bucket
-# (n_parts-row exchange -> exclusive base offsets), pass 2 ranks within
-# each bucket (sort by full key, tie-break doc_id) and adds the base.
+# The distributed zipWithIndex shape WITHOUT a global sort operator
+# (``agg.ordered_ranges``): md5 is uniform, so ordered key-RANGE buckets
+# (first 32 hash bits scaled to n_parts) are balanced by construction;
+# pass 1 counts rows per bucket (exclusive base offsets on the driver),
+# pass 2 ranks within each bucket (sort by full key, tie-break doc_id)
+# and adds the base.
 # Exactly reproduces ROW_NUMBER() OVER (ORDER BY md5(...), doc_id) - 1
 # because hex string order == numeric order of the hash prefix.
 # -------------------------------------------------------------------------
@@ -2470,75 +2382,39 @@ def split_assign(sf_dir: str) -> rd.Dataset:
 def shuffle_docs(sf_dir: str, seed: int = 42) -> rd.Dataset:
     import pyarrow.parquet as pq
 
-    from .agg import scaled_partitions
+    from .agg import ordered_ranges, scaled_partitions
 
     path = f"{sf_dir}/documents.parquet"
     n_rows = pq.read_metadata(path).num_rows
     if n_rows == 0:
         return _empty_docs_result(path, {"shuffle_pos": pa.int64()})
-    n_parts = scaled_partitions(n_rows)
 
-    def keys_of(ids: list[int]) -> list[str]:
-        return [
+    def keys(batch: pa.Table) -> pa.Table:
+        ks = [
             hashlib.md5(f"{i}:{seed}".encode("ascii")).hexdigest()
-            for i in ids
+            for i in batch["doc_id"].to_pylist()
         ]
-
-    def bucket_of(keys: list[str]) -> np.ndarray:
-        v = np.array([int(k[:8], 16) for k in keys], dtype=np.int64)
-        return v * n_parts // (1 << 32)
-
-    ds = _read_docs(sf_dir, ["doc_id"])
-
-    # pass 1: per-bucket row counts -> exclusive global base offsets
-    def bucket_partial(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        t = pa.table(
-            {
-                "b": pa.array(bucket_of(keys_of(ids))),
-                "n": pa.array(np.ones(len(ids), dtype=np.int64)),
-            }
-        )
-        return partial_group_agg(t, keys=["b"], aggs=[("n", "sum")])
-
-    totals = (
-        ds.map_batches(bucket_partial, batch_format="pyarrow")
-        .groupby("b")
-        .sum("n")
-        .to_pandas()
-    )
-    per_bucket = np.zeros(n_parts, dtype=np.int64)
-    per_bucket[totals["b"].to_numpy()] = totals["sum(n)"].to_numpy()
-    base = np.zeros(n_parts + 1, dtype=np.int64)
-    np.cumsum(per_bucket, out=base[1:])
-
-    # pass 2: rank within each ordered bucket + the bucket's base offset
-    def tag(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        ks = keys_of(ids)
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
                 "k": pa.array(ks, pa.string()),
-                "__pp": pa.array(bucket_of(ks)),
+                "k32": pa.array([int(k[:8], 16) for k in ks], pa.int64()),
             }
         )
 
-    def rank(group: pa.Table) -> pa.Table:
-        t = group.sort_by([("k", "ascending"), ("doc_id", "ascending")])
-        b = int(t["__pp"][0].as_py())
-        pos = base[b] + np.arange(t.num_rows, dtype=np.int64)
+    def rank(t: pa.Table, starts: np.ndarray, _totals: np.ndarray) -> pa.Table:
         return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "shuffle_pos": pa.array(pos, pa.int64()),
-            }
+            {"doc_id": t["doc_id"], "shuffle_pos": pa.array(starts[:, 0])}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pp")
-        .map_groups(rank, batch_format="pyarrow")
+    return ordered_ranges(
+        _read_docs(sf_dir, ["doc_id"]).map_batches(keys, batch_format="pyarrow"),
+        "k32",
+        (0, (1 << 32) - 1),
+        scaled_partitions(n_rows),
+        [("k", "ascending"), ("doc_id", "ascending")],
+        [],
+        rank,
     )
 
 
@@ -2743,9 +2619,9 @@ def compression_ratio(sf_dir: str) -> rd.Dataset:
 # signal: for every document, how many of its DISTINCT 3-word shingles
 # also occur in at least one OTHER document. Same distributed inverted
 # shingle index as decontaminate/ngram_jaccard_pairs: explode (doc, sh)
-# rows, ONE keyed exchange hash-bucketed on the shingle (all postings of a
-# shingle land together, so its global distinct-doc count is local to the
-# bucket), one vectorized value_counts pass per bucket, then the per-doc
+# rows, ONE keyed exchange on the shingle (all postings of a shingle land
+# together, so its global distinct-doc count is local to the exchange
+# block), one vectorized value_counts pass per block, then the per-doc
 # partial sums ride the small grouped_sum exchange. Never an all-pairs
 # join; a pathological mega-shingle is one posting run in one bucket.
 # Reference analog: no equivalent (the reference dedups nothing); this is
@@ -2754,16 +2630,8 @@ def compression_ratio(sf_dir: str) -> rd.Dataset:
 
 
 def duplicate_ngram_coverage(sf_dir: str) -> rd.Dataset:
-    import pyarrow.parquet as pq
+    from .agg import grouped_sum, keyed_exchange
 
-    from .agg import grouped_sum, scaled_partitions
-
-    n_buckets = max(
-        2048,
-        scaled_partitions(
-            pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows * 150
-        ),
-    )
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2778,33 +2646,24 @@ def duplicate_ngram_coverage(sf_dir: str) -> rd.Dataset:
         sh = np.concatenate(sh_all) if sh_all else np.empty(0, dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(sh % n_buckets),
                 "sh": pa.array(sh),
                 "doc_id": pa.array(np.asarray(doc_ids, dtype=np.int64)),
             }
         )
 
-    def count_dups(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_shingles": pa.array([], pa.int64()),
-                    "n_dup_shingles": pa.array([], pa.int64()),
-                }
-            )
-        # postings are distinct per (doc, shingle), so the bucket-local
+    def count_dups(block: pa.Table) -> pa.Table:
+        # postings are distinct per (doc, shingle), so the block-local
         # occurrence count of a shingle IS its global distinct-doc count
-        vc = pc.value_counts(group["sh"].combine_chunks())
+        vc = pc.value_counts(block["sh"].combine_chunks())
         dup_set = vc.field("values").filter(
             pc.greater_equal(vc.field("counts"), pa.scalar(2))
         )
-        hits = pc.cast(pc.is_in(group["sh"], value_set=dup_set), pa.int64())
+        hits = pc.cast(pc.is_in(block["sh"], value_set=dup_set), pa.int64())
         t = pa.table(
             {
-                "doc_id": group["doc_id"],
+                "doc_id": block["doc_id"],
                 "n_shingles": pa.array(
-                    np.ones(group.num_rows, dtype=np.int64)
+                    np.ones(block.num_rows, dtype=np.int64)
                 ),
                 "n_dup_shingles": hits,
             }
@@ -2815,13 +2674,14 @@ def duplicate_ngram_coverage(sf_dir: str) -> rd.Dataset:
             aggs=[("n_shingles", "sum"), ("n_dup_shingles", "sum")],
         )
 
-    per_bucket = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_dups, batch_format="pyarrow")
+    per_block = keyed_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["sh"],
+        count_dups,
+        _doc_parts(sf_dir, 150),
     )
     return grouped_sum(
-        per_bucket,
+        per_block,
         keys=["doc_id"],
         partial=lambda b: partial_group_agg(
             b,
@@ -3540,16 +3400,17 @@ def mix_epochs(
 # corpus" product shape; every step is integer/hash math shared bit-exactly
 # with one SQL oracle (ROW_NUMBER + windowed SUM over the same order).
 #
-# Physical plan: the md5 key's 32-bit prefix buckets the exchange ORDER-
-# PRESERVINGLY (identical keys share a prefix, so dup groups never
-# straddle buckets; bucket order == key order). Pass 1 reduces each bucket
-# to ONE (rows, tokens) summary row after in-bucket dedup — the driver
-# sees n_parts rows, exclusive-scans them into row/token base offsets.
-# Pass 2 repeats the deterministic in-bucket dedup and emits winners with
-# pos = row_base + local rank and seq_id = (token_base + local exclusive
-# cumsum) // budget. No text bytes cross either exchange (doc_id, the two
-# uint64 md5 halves, token count only); both passes are single keyed
-# exchanges with buckets sized by scaled_partitions.
+# Physical plan (``agg.ordered_ranges``): value ranges of the md5 key's
+# high half bucket the exchange ORDER-PRESERVINGLY (identical keys share
+# it, so dup groups never straddle buckets; bucket order == key order).
+# Pass 1 reduces each bucket to ONE (rows, tokens) summary row after
+# in-bucket dedup — the driver sees n_parts rows, exclusive-scans them
+# into row/token base offsets. Pass 2 repeats the deterministic in-bucket
+# dedup and emits winners with pos = row_base + local rank and seq_id =
+# (token_base + local exclusive cumsum) // budget. No text bytes cross
+# either exchange (doc_id, the two uint64 md5 halves, token count only);
+# both passes are single range exchanges with buckets sized by
+# scaled_partitions.
 # -------------------------------------------------------------------------
 
 
@@ -3609,13 +3470,7 @@ def first_per_key(t: pa.Table) -> np.ndarray:
     return order[first]
 
 
-def _training_bucket(k0: pa.ChunkedArray, n_parts: int) -> np.ndarray:
-    """``prepare_training_ds``' exchange bucket of each key: its top 32
-    bits scaled to ``n_parts``. It never decreases as (k0, k1) grows, so
-    the buckets, concatenated in bucket order, list the winners in
-    (k0, k1) order: the order ``training_offsets`` packs in one process."""
-    pref = (k0.to_numpy() >> np.uint64(32)).astype(np.int64)
-    return pref * n_parts // (1 << 32)
+TRAINING_KEY_RANGE = (0, (1 << 64) - 1)  # k0's ``range_bucket`` bounds
 
 
 def training_offsets(keys: pa.Table) -> tuple[np.ndarray, np.ndarray, int]:
@@ -3623,9 +3478,8 @@ def training_offsets(keys: pa.Table) -> tuple[np.ndarray, np.ndarray, int]:
     one process over a whole ``training_keys`` table: the winners' doc_ids
     ascending, each one's exclusive global token prefix ``tok_start``, and
     the token total. Both pack the winners of ``first_per_key`` in (k0, k1)
-    order; there it is bucket after bucket (``_training_bucket``), here it
-    is one sort, and the two agree only while the bucket id is monotone in
-    the key."""
+    order; there it is k0 range after k0 range (``agg.range_bucket`` over
+    ``TRAINING_KEY_RANGE``), here it is one sort."""
     win = first_per_key(keys)
     ntok = keys["n_tokens"].to_numpy()[win]
     starts = np.full(keys.num_rows, -1, np.int64)
@@ -3647,70 +3501,36 @@ def prepare_training_ds(
     per winner (the shard-materialization consumer needs the exact window
     boundaries, not just ``seq_id = tok_start // budget``); off by default
     so the oracle-checked output schema is unchanged."""
-    from .agg import scaled_partitions
+    from .agg import ordered_ranges, scaled_partitions
 
-    n_parts = scaled_partitions(n_rows)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        t = training_keys(batch)
-        pp = _training_bucket(t["k0"], n_parts)
-        return t.append_column("__pp", pa.array(pp))
-
-    # the reduced (doc_id, key, n_tokens) metadata table is consumed by
-    # TWO keyed passes below — materialize it so the upstream dataflow
-    # (which may be the full extraction pipeline in the web_to_training /
-    # corpus_to_training compositions) runs ONCE; the cached table is
-    # keys-only (40 B/row, object store spills at scale), always cheaper
-    # than re-extracting payloads (measured 35s -> 22s end-to-end at the
-    # 237k-page corpus)
-    tagged = ds.map_batches(flag, batch_format="pyarrow").materialize()
-
-    # pass 1: one summary row per bucket after in-bucket dedup
-    def bucket_summary(group: pa.Table) -> pa.Table:
-        w = group.take(first_per_key(group))
-        return pa.table(
-            {
-                "b": pa.array([int(w["__pp"][0].as_py())], pa.int64()),
-                "n": pa.array([w.num_rows], pa.int64()),
-                "tok": pa.array(
-                    [int(pc.sum(w["n_tokens"]).as_py() or 0)], pa.int64()
-                ),
-            }
-        )
-
-    totals = (
-        tagged.groupby("__pp")
-        .map_groups(bucket_summary, batch_format="pyarrow")
-        .to_pandas()
-    )
-    per_rows = np.zeros(n_parts, dtype=np.int64)
-    per_toks = np.zeros(n_parts, dtype=np.int64)
-    if len(totals):
-        per_rows[totals["b"].to_numpy()] = totals["n"].to_numpy()
-        per_toks[totals["b"].to_numpy()] = totals["tok"].to_numpy()
-    row_base = np.zeros(n_parts + 1, dtype=np.int64)
-    tok_base = np.zeros(n_parts + 1, dtype=np.int64)
-    np.cumsum(per_rows, out=row_base[1:])
-    np.cumsum(per_toks, out=tok_base[1:])
-
-    # pass 2: winners with global shuffle rank + packed sequence id
-    def assign(group: pa.Table) -> pa.Table:
-        w = group.take(first_per_key(group))
-        b = int(w["__pp"][0].as_py())
-        ntok = w["n_tokens"].to_numpy(zero_copy_only=False)
-        pos = row_base[b] + np.arange(w.num_rows, dtype=np.int64)
-        excl = tok_base[b] + np.cumsum(ntok) - ntok
+    def assign(w: pa.Table, starts: np.ndarray, _totals: np.ndarray) -> pa.Table:
         out = {
             "doc_id": pc.cast(w["doc_id"], pa.int64()),
-            "pos": pa.array(pos, pa.int64()),
+            "pos": pa.array(starts[:, 0]),
             "n_tokens": w["n_tokens"],
-            "seq_id": pa.array(excl // budget, pa.int64()),
+            "seq_id": pa.array(starts[:, 1] // budget),
         }
         if emit_offsets:
-            out["tok_start"] = pa.array(excl, pa.int64())
+            out["tok_start"] = pa.array(starts[:, 1])
         return pa.table(out)
 
-    return tagged.groupby("__pp").map_groups(assign, batch_format="pyarrow")
+    # both passes read the reduced (doc_id, key, n_tokens) metadata table,
+    # which ordered_ranges materializes for a function order, so the
+    # upstream dataflow (which may be the full extraction pipeline in the
+    # web_to_training / corpus_to_training compositions) runs ONCE; the
+    # cached table is keys-only (32 B/row, object store spills at scale),
+    # always cheaper than re-extracting payloads (measured 35s -> 22s
+    # end-to-end at the 237k-page corpus)
+    return ordered_ranges(
+        ds.map_batches(training_keys, batch_format="pyarrow"),
+        "k0",
+        TRAINING_KEY_RANGE,
+        scaled_partitions(n_rows),
+        first_per_key,
+        ["n_tokens"],
+        assign,
+    )
+
 
 # -------------------------------------------------------------------------
 # dsir_weights — Data Selection via Importance Resampling (DSIR, Xie et

@@ -103,12 +103,6 @@ def read_pages_jsonl(
     return rd.read_json(input_path).map_batches(cast, batch_format="pyarrow")
 
 
-def write_docs_jsonl(ds: rd.Dataset, output_path: str) -> None:
-    """Documents egress: one .json (ndjson) file per block, resumable the
-    same way the parquet sink is (directory of independent shard files)."""
-    ds.write_json(output_path)
-
-
 def write_pages_jsonl(ds: rd.Dataset, output_path: str) -> None:
     """Pages egress: binary html -> base64 string, timestamp -> ISO string
     (the inverse of read_pages_jsonl, roundtrip-exact)."""

@@ -210,6 +210,7 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     # not wrapped in Ray Data's UserCodeException
     keys.context.raise_original_map_exception = True
     partials = keys.map_batches(_key_partial, batch_format="pyarrow")
+    # native aggregate: Ray combines the partials vectorized, no per-group call
     combined = partials.groupby("url").aggregate(Min("ts_min_us"), Sum("cnt"))
 
     def _only_dups(b: pa.Table) -> pa.Table:

@@ -6,7 +6,8 @@ extractors; rasterization happens at dpi=200 (``tesseract_extractor.py:33``).
 This module provides the Ray-side plumbing for media processing at corpus
 scale — schema, batch sizing, actor-pool stages, output layout — with the
 codec work STUBBED (no PIL/ffmpeg in this image): each stage either raises
-``NotImplementedError`` (``decode_real=True``) or computes a deterministic
+``NotImplementedError`` (``decode_real=True``; ``ImageDecode`` decodes PNG
+for real and flags the rows it cannot decode) or computes a deterministic
 fake derived from the bytes, so pipelines and tests exercise the full
 dataflow.
 
@@ -70,52 +71,53 @@ class ImageDecode:
     ``decode_real=True``: PNG payloads get a REAL pixel decode
     (``kernels/png_decode.py`` — zlib inflate + unfilter, stdlib only) and
     the thumbnail is the nearest-neighbor downsample re-encoded as PNG
-    bytes; non-PNG codecs raise ``NotImplementedError`` (JPEG/WEBP entropy
-    decode needs a codec library absent from this environment — the
-    honest stub seam is now non-PNG-only)."""
+    bytes. A payload it cannot decode — a non-PNG codec (JPEG/WEBP entropy
+    decode needs a codec library absent from this environment), a PNG
+    variant the kernel does not implement (16-bit, Adam7 interlace) or
+    corrupt bytes — yields a FLAGGED row, never a failed batch: header dims
+    when the header parses (else 0), a null thumbnail and the reason in
+    ``error``, which is null on every decoded row."""
 
     def __init__(self, decode_real: bool = False, max_side: int = 256):
         self.decode_real = decode_real
         self.max_side = max_side
 
+    def _decode(self, p: bytes, parsed) -> tuple[str, int, int, bytes]:
+        from ..kernels.png_decode import png_decode, png_encode, thumbnail
+
+        if parsed is None or parsed[0] != "png":
+            raise NotImplementedError(
+                "real pixel decode is implemented for PNG only "
+                f"(got {parsed[0] if parsed else 'unknown'})"
+            )
+        img = png_decode(p)
+        th = png_encode(thumbnail(img, self.max_side))
+        return "png", int(img.shape[1]), int(img.shape[0]), th
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import zlib
+
         from ..kernels.image_headers import image_dims
 
-        if self.decode_real:
-            from ..kernels.png_decode import png_decode, png_encode, thumbnail
-
-        widths: list[int] = []
-        heights: list[int] = []
-        codecs: list[str] = []
-        thumbs: list[bytes] = []
+        rows: list[tuple[str, int, int, bytes | None, str | None]] = []
         for p in batch["payload"].to_pylist():
-            digest = hashlib.md5(p).digest()
             parsed = image_dims(p)
             if self.decode_real:
-                if parsed is None or parsed[0] != "png":
-                    raise NotImplementedError(
-                        "real pixel decode is implemented for PNG only "
-                        f"(got {parsed[0] if parsed else 'unknown'}); "
-                        "JPEG/WEBP need a codec library absent from this "
-                        "environment — run with decode_real=False"
-                    )
-                img = png_decode(p)
-                th = thumbnail(img, self.max_side)
-                codecs.append("png")
-                widths.append(int(img.shape[1]))
-                heights.append(int(img.shape[0]))
-                thumbs.append(png_encode(th))
+                try:
+                    rows.append((*self._decode(p, parsed), None))
+                except (NotImplementedError, ValueError, zlib.error, _struct.error) as e:
+                    codec, w, h = parsed or ("", 0, 0)
+                    rows.append((codec, w, h, None, f"{type(e).__name__}: {e}"))
                 continue
-            thumbs.append(digest)
+            digest = hashlib.md5(p).digest()
             if parsed is not None:
                 codec, w, h = parsed
             else:  # deterministic fake, flagged by the empty codec
                 codec = ""
                 w = int.from_bytes(digest[:2], "little") % 4096 + 16
                 h = int.from_bytes(digest[2:4], "little") % 4096 + 16
-            widths.append(w)
-            heights.append(h)
-            codecs.append(codec)
+            rows.append((codec, w, h, digest, None))
+        codecs, widths, heights, thumbs, errors = zip(*rows) if rows else [()] * 5
         return pa.table(
             {
                 "media_id": batch["media_id"],
@@ -123,6 +125,7 @@ class ImageDecode:
                 "height": pa.array(heights, pa.int32()),
                 "codec": pa.array(codecs, pa.string()),
                 "thumb": pa.array(thumbs, pa.large_binary()),
+                "error": pa.array(errors, pa.string()),
             }
         )
 

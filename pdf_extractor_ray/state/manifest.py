@@ -53,10 +53,6 @@ def partition_dir(output_dir: str, partition_id: int) -> str:
     return os.path.join(output_dir, f"part-{partition_id}")
 
 
-def manifest_path(output_dir: str, partition_id: int) -> str:
-    return os.path.join(partition_dir(output_dir, partition_id), "_MANIFEST.json")
-
-
 def input_fingerprint(urls, tss) -> int:
     """Order-independent input identity: uint64 wrap-sum of per-row 64-bit
     hashes of ``url|warc_ts_int``. Takes the Arrow key columns directly and

@@ -198,13 +198,50 @@ def test_media_stages(ray_session):
         AudioFeatures(decode_real=True)(media.slice(0, 2))
 
 
-def test_media_real_decode_raises_on_non_png():
-    """decode_real is real for PNG only; random bytes (unknown codec) and
-    any non-PNG codec still raise the honest stub seam."""
+def test_media_real_decode_flags_undecodable_rows():
+    """decode_real is real for PNG only: a JPEG, a 16-bit PNG, an
+    interlaced PNG and unknown bytes in the same batch as a decodable PNG
+    each come back as a flagged row (header dims, null thumbnail, the
+    reason in ``error``) instead of failing the batch."""
+    import struct
+    import zlib
+
+    import numpy as np
+
+    from pdf_extractor_ray.kernels.png_decode import png_encode
     from pdf_extractor_ray.stages.multimodal import ImageDecode, synthetic_media_table
 
-    with pytest.raises(NotImplementedError):
-        ImageDecode(decode_real=True)(synthetic_media_table(2))
+    def png(w, h, depth, interlace):
+        def chunk(typ, data):
+            return struct.pack(">I", len(data)) + typ + data + b"\x00" * 4
+
+        ihdr = struct.pack(">IIBBBBB", w, h, depth, 2, 0, 0, interlace)
+        raw = zlib.compress(b"\x00" * (h * (w * 3 * depth // 8 + 1)))
+        return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+                + chunk(b"IDAT", raw) + chunk(b"IEND", b""))
+
+    good = png_encode(np.zeros((5, 6, 3), np.uint8))
+    payloads = [_jpeg_bytes(56, 78), png(7, 9, 16, 0), good, png(4, 3, 8, 1), b"junk"]
+    batch = pa.table(
+        {
+            "media_id": pa.array([f"m{i}" for i in range(len(payloads))]),
+            "payload": pa.array(payloads, pa.large_binary()),
+        }
+    )
+    out = ImageDecode(decode_real=True)(batch)
+    assert out["codec"].to_pylist() == ["jpeg", "png", "png", "png", ""]
+    assert out["width"].to_pylist() == [56, 7, 6, 4, 0]
+    assert out["height"].to_pylist() == [78, 9, 5, 3, 0]
+    errors = out["error"].to_pylist()
+    assert errors[2] is None and out["thumb"][2].as_py()
+    assert [e.split(":")[0] for i, e in enumerate(errors) if i != 2] == [
+        "NotImplementedError", "ValueError", "ValueError", "NotImplementedError",
+    ]
+    assert "bit depth" in errors[1] and "interlace" in errors[3]
+    assert out["thumb"].null_count == 4
+
+    media = ImageDecode(decode_real=True)(synthetic_media_table(2))
+    assert media["error"].null_count == 0 and media["thumb"].null_count == 2
 
 
 def _png_filtered(pixels, ctype, filters, plte=None):

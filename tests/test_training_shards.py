@@ -210,8 +210,9 @@ def test_training_offsets_match_bucketed_packing():
     (k0, k1) once, at its lowest doc_id, in md5 hex order."""
     import numpy as np
 
+    from pdf_extractor_ray.functions.agg import range_bucket
     from pdf_extractor_ray.functions.textops import (
-        _training_bucket,
+        TRAINING_KEY_RANGE,
         first_per_key,
         training_offsets,
     )
@@ -246,7 +247,7 @@ def test_training_offsets_match_bucketed_packing():
     assert total == pos
 
     # prepare_training_ds' order: dedup per bucket, buckets concatenated
-    pp = _training_bucket(keys["k0"], 7)
+    pp = range_bucket(keys["k0"].to_numpy(), *TRAINING_KEY_RANGE, 7)
     packed = []
     for b in range(7):
         g = keys.filter(pa.array(pp == b))
