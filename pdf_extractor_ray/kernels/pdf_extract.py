@@ -22,15 +22,26 @@ classic ``trailer``). No encryption, no CID fonts. Anything else fails
 pattern (``pypdf2_extractor.py:41-48``).
 
 Per page, two layers do the work:
-  * ``_run_text_ops``: one compiled ``findall`` lexes the content stream
-    into a list of byte tokens (whitespace matches nothing, so it costs
-    nothing); a stream that regex cannot lex (string escapes, nested
-    parens, hex strings, stray ``) > { }``) is re-lexed by a position
-    scanner into the same token shape. One text-operator state machine
-    consumes the list, dispatching on each token's first byte, and appends
-    chunks as plain ``(x, y, text, width, size)`` tuples.
+  * text operators -> chunks ``(x, y, text, width, size)``.
+    ``_run_text_ops_fast`` matches one whole operator, operands included,
+    per ``findall`` match, and its loop runs once per operator. It covers
+    ``BT ET Td TD Tj ' TJ Tf TL Tm T*`` with plain number and string
+    operands, which is all the generated corpus writes. Any other stream
+    (string escapes, nested parens, hex strings, comments, ``"``, other
+    operators or operand shapes, stray delimiters, or a number ``float``
+    rejects) goes whole to ``_run_text_ops``, the general machine and the
+    reference: one ``findall`` lexes it into byte tokens (re-lexed by a
+    position scanner when regex cannot: escapes, nesting, hex, stray
+    ``) > { }``), and one state machine runs over the tokens.
+    ``tests/test_pdf_fast_lexer.py`` holds the two equal on seeded streams.
   * ``_layout_page_parts``: chunks -> lines -> blocks, plus the per-line
-    cell split that feeds table detection.
+    cell split that feeds table detection. One (-y, x) sort; a one-chunk
+    line skips the list and join; lines go straight into blocks; the cell
+    rows exist only once a line splits into table cells. The block sort
+    runs only on pages with a NaN y (NaN comes from inf - inf): otherwise
+    line tops, and so block tops, strictly decrease and the sort is a
+    no-op. ``tests/test_pdf_layout_reference.py`` holds it equal to the
+    earlier layout.
 
 Frozen byte-identity invariants (SURVEY.md §7.1):
   * chunk width estimate: 0.5 * font_size * len(text) (Helvetica-ish)
@@ -48,10 +59,16 @@ from __future__ import annotations
 
 import re
 import zlib
+from operator import itemgetter
 
 from .result import ExtractResult, Span
 
-_OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
+# A match can only start at the first digit of a run (a later start sees the
+# same tail), and no quantifier gives anything back, so the scan past the
+# last object (the xref table's digit runs) costs one try per run.
+# ``_scan_objects`` searches from 0 or just past an ``endobj``, never from
+# inside a digit run, so the lookbehind never hides a match.
+_OBJ_RE = re.compile(rb"(?<!\d)(\d++)\s++(\d++)\s++obj\b")
 _TYPE_RE = re.compile(rb"/Type\s*/(\w+)")
 _KIDS_RE = re.compile(rb"/Kids\s*\[([^\]]*)\]")
 _REF_RE = re.compile(rb"(\d+)\s+\d+\s+R")
@@ -534,6 +551,117 @@ def _run_text_ops(stream: bytes) -> list[_TextChunk]:
     return chunks
 
 
+# Fast path: one match per text operator. Each alternative is one whole
+# statement (its operands, then the operator), with the same token
+# boundaries as ``_TOKEN_RE``: numbers and names are possessive (a number
+# never splits into two), and an operator must end at a delimiter, so
+# ``Tjx`` or ``TjET`` is not ``Tj``. The alternatives and their groups:
+#   (str) Tj | (str) '                     s, sop
+#   n1 TL | n1 n2 Td | n1 n2 TD | n1..n6 Tm  n1, tl, n2, td, n3..n6
+#   BT | ET | T*                           op
+#   /name n Tf                             tf
+#   [ (str|n)* ] TJ                        arr (brackets included)
+# Anything else (escapes, nesting, hex strings, comments, ``"``, other
+# operators or operand shapes, a stray delimiter) matches the last
+# alternative, one byte, and the stream goes to ``_run_text_ops``. The
+# leading whitespace run is part of each match, so only trailing
+# whitespace is left unmatched.
+_W = rb"[\x00\t\r\n\f ]*+"  # whitespace between tokens, maybe none
+_NUM = rb"[+\-.0-9][+\-.0-9eE]*+"
+_N = b"(" + _NUM + b")"
+_STR = rb"\([^()\\]*\)"
+_OP_END = rb"(?![^()<>\[\]{}/%\x00\t\r\n\f ])"
+_OP_RE = re.compile(
+    _W + b"(?:" + b"|".join([
+        rb"\(([^()\\]*)\)" + _W + rb"(Tj|')" + _OP_END,
+        _N + _W + rb"(?:(TL)|" + _N + _W + rb"(?:(T[dD])|" + (_N + _W) * 4
+        + rb"Tm))" + _OP_END,
+        rb"(BT|ET|T\*)" + _OP_END,
+        rb"/[^()<>\[\]{}/%\x00\t\r\n\f ]*+" + _W + _N + _W + rb"Tf" + _OP_END,
+        rb"(\[(?:" + _W + b"(?:" + _STR + b"|" + _NUM + rb"))*+" + _W + rb"\])"
+        + _W + rb"TJ" + _OP_END,
+        rb"([^\x00\t\r\n\f ])",
+    ]) + b")"
+)
+# a TJ array's items: (string bytes, number); an empty string is (b"", b"")
+_TJ_ITEM_RE = re.compile(rb"\(([^()\\]*)\)|" + _N)
+
+
+def _run_text_ops_fast(stream: bytes) -> list[_TextChunk] | None:
+    """``_run_text_ops`` for streams in the fast grammar above, one loop
+    iteration per operator; None for any other stream. Every number it
+    uses goes through ``float``, and one that ``float`` rejects also gives
+    None: the general machine silently drops such an operand, which can
+    change what the operator does. Statements outside ``BT``/``ET`` are
+    ignored unparsed, as the general machine ignores them."""
+    chunks: list[_TextChunk] = []
+    size = 12.0
+    leading: float | None = None
+    x = y = lx = ly = 0.0
+    in_text = False
+    try:
+        for s, sop, n1, tl, n2, td, n3, n4, n5, n6, op, tf, arr, bad in (
+            _OP_RE.findall(stream)
+        ):
+            if not in_text:
+                if bad:
+                    return None
+                if op == b"BT":
+                    in_text = True
+                    x = y = lx = ly = 0.0
+                continue
+            if sop:  # Tj, or ' which moves to the next line first
+                if sop != b"Tj":
+                    ly = ly - (leading if leading is not None else 1.2 * size)
+                    x, y = lx, ly
+                if s:
+                    w = CHAR_WIDTH_FACTOR * size * len(s)
+                    chunks.append((x, y, s.decode("latin-1"), w, size))
+                    x += w
+            elif td:
+                tx, ty = float(n1), float(n2)
+                lx, ly = lx + tx, ly + ty
+                x, y = lx, ly
+                if td == b"TD":
+                    leading = -ty
+            elif op:
+                if op == b"ET":
+                    in_text = False
+                elif op == b"BT":
+                    x = y = lx = ly = 0.0
+                else:  # T*
+                    ly = ly - (leading if leading is not None else 1.2 * size)
+                    x, y = lx, ly
+            elif n6:  # Tm: all six must be numbers, only e and f are used
+                float(n1), float(n2), float(n3), float(n4)
+                x = lx = float(n5)
+                y = ly = float(n6)
+            elif tf:
+                size = float(tf)
+            elif arr:  # TJ
+                for s, n in _TJ_ITEM_RE.findall(arr):
+                    if n:
+                        x -= float(n) / 1000.0 * size
+                    elif s:
+                        w = CHAR_WIDTH_FACTOR * size * len(s)
+                        chunks.append((x, y, s.decode("latin-1"), w, size))
+                        x += w
+            elif tl:
+                leading = float(n1)
+            else:
+                return None
+    except ValueError:
+        return None
+    return chunks
+
+
+def _text_chunks(stream: bytes) -> list[_TextChunk]:
+    """Content stream -> text chunks: the fast path, else the general
+    machine."""
+    chunks = _run_text_ops_fast(stream)
+    return _run_text_ops(stream) if chunks is None else chunks
+
+
 # --------------------------------------------------------------------------
 # Layout analysis: chunks -> lines -> blocks -> reading-order text
 # --------------------------------------------------------------------------
@@ -575,6 +703,9 @@ def _detect_tables(
     return "\n\n".join(tables)
 
 
+_X = itemgetter(0)
+
+
 def _layout_page_parts(chunks: list[_TextChunk]) -> tuple[str, str]:
     """chunks -> (page_text, page_tables). One line clustering feeds both
     products: within an x-sorted line, a gap wider than ``CELL_GAP_FACTOR *
@@ -584,10 +715,14 @@ def _layout_page_parts(chunks: list[_TextChunk]) -> tuple[str, str]:
     if not chunks:
         return "", ""
     # lines: cluster by baseline y (descending), tolerance Y_LINE_TOL
-    # against the first chunk of the current line
+    # against the first chunk of the current line. One (-y, x) tuple key,
+    # not a stable x sort then a stable descending y sort: NaN (from
+    # inf - inf) compares false both ways, and the two order NaN pages
+    # differently.
     lines: list[list[_TextChunk]] = []
     line: list[_TextChunk] = []
     line_y = 0.0
+    nan_y = False
     for c in sorted(chunks, key=lambda c: (-c[1], c[0])):
         if line and abs(line_y - c[1]) <= Y_LINE_TOL:
             line.append(c)
@@ -595,67 +730,77 @@ def _layout_page_parts(chunks: list[_TextChunk]) -> tuple[str, str]:
             line = [c]
             line_y = c[1]
             lines.append(line)
+            if line_y != line_y:  # a NaN y never joins a line
+                nan_y = True
 
-    line_infos: list[tuple[float, float, float, str]] = []  # (y, x0, size, text)
-    cell_rows: list[list[tuple[float, str]] | None] = []
-    any_table_row = False
+    # block: [top_y, left_x, line texts]; a line joins the open block
+    # unless the vertical gap from the previous text line exceeds
+    # BLOCK_GAP_FACTOR * that line's font size
+    blocks: list[list] = []
+    block_lines: list[str] = []
+    prev_y = prev_size = 0.0
+    cell_rows: list[list[tuple[float, str]] | None] | None = None
     for line in lines:
-        if len(line) > 1:
-            line.sort(key=lambda c: c[0])
-        x0, y0, text, w0, max_size = line[0]
-        prev_end = x0 + w0
-        cur = [text]
-        cur_x = x0
-        cells: list[tuple[float, list[str]]] | None = None
-        for i in range(1, len(line)):
-            cx, _, t, w, s = line[i]
-            gap = cx - prev_end
-            if gap > CELL_GAP_FACTOR * s:
-                if cells is None:
-                    cells = []
-                cells.append((cur_x, cur))
-                cur, cur_x = [], cx
-            elif gap > GAP_SPACE_FACTOR * s:
-                cur.append(" ")
-            cur.append(t)
-            prev_end = cx + w
-            if s > max_size:
-                max_size = s
-        if cells is None:
-            text = "".join(cur).strip()
-            cell_rows.append(None)
-        else:
-            cells.append((cur_x, cur))
-            raw = [(cx, "".join(parts)) for cx, parts in cells]
-            text = " ".join(t for _, t in raw).strip()
-            stripped = [(cx, t.strip()) for cx, t in raw]
-            stripped = [(cx, t) for cx, t in stripped if t]
-            if len(stripped) >= MIN_TABLE_COLS:
-                cell_rows.append(stripped)
-                any_table_row = True
-            else:
+        if len(line) == 1:
+            x0, y0, text, _, max_size = line[0]
+            text = text.strip()
+            if cell_rows is not None:
                 cell_rows.append(None)
-        if text:
-            line_infos.append((y0, x0, max_size, text))
-
-    page_tables = _detect_tables(cell_rows) if any_table_row else ""
-    if not line_infos:
-        return "", page_tables
-    # blocks: split on big vertical gaps (descending y order)
-    prev = line_infos[0]
-    blocks: list[list[tuple[float, float, float, str]]] = [[prev]]
-    for info in line_infos[1:]:
-        if prev[0] - info[0] > BLOCK_GAP_FACTOR * prev[2]:
-            blocks.append([info])
         else:
-            blocks[-1].append(info)
-        prev = info
+            line.sort(key=_X)
+            x0, y0, text, w0, max_size = line[0]
+            prev_end = x0 + w0
+            cur = [text]
+            cur_x = x0
+            cells: list[tuple[float, list[str]]] | None = None
+            for i in range(1, len(line)):
+                cx, _, t, w, s = line[i]
+                gap = cx - prev_end
+                if gap > CELL_GAP_FACTOR * s:
+                    if cells is None:
+                        cells = []
+                    cells.append((cur_x, cur))
+                    cur, cur_x = [], cx
+                elif gap > GAP_SPACE_FACTOR * s:
+                    cur.append(" ")
+                cur.append(t)
+                prev_end = cx + w
+                if s > max_size:
+                    max_size = s
+            if cells is None:
+                text = "".join(cur).strip()
+                if cell_rows is not None:
+                    cell_rows.append(None)
+            else:
+                cells.append((cur_x, cur))
+                raw = [(cx, "".join(parts)) for cx, parts in cells]
+                text = " ".join(t for _, t in raw).strip()
+                stripped = [(cx, t.strip()) for cx, t in raw]
+                stripped = [(cx, t) for cx, t in stripped if t]
+                if len(stripped) >= MIN_TABLE_COLS:
+                    if cell_rows is None:
+                        # earlier lines only precede the first table row
+                        cell_rows = []
+                    cell_rows.append(stripped)
+                elif cell_rows is not None:
+                    cell_rows.append(None)
+        if not text:
+            continue
+        if not blocks or prev_y - y0 > BLOCK_GAP_FACTOR * prev_size:
+            block_lines = [text]
+            blocks.append([y0, x0, block_lines])
+        else:
+            block_lines.append(text)
+            if x0 < blocks[-1][1]:
+                blocks[-1][1] = x0
+        prev_y, prev_size = y0, max_size
 
-    # reading order: (-top_y, left_x)
-    if len(blocks) > 1:
-        blocks.sort(key=lambda b: (-b[0][0], min(li[1] for li in b)))
-    text = "\n\n".join("\n".join(li[3] for li in b) for b in blocks)
-    return text, page_tables
+    page_tables = _detect_tables(cell_rows) if cell_rows is not None else ""
+    # reading order (-top_y, left_x): without a NaN y, line tops strictly
+    # decrease and so do block tops, so only NaN pages can need the sort
+    if nan_y and len(blocks) > 1:
+        blocks.sort(key=lambda b: (-b[0], b[1]))
+    return "\n\n".join("\n".join(b[2]) for b in blocks), page_tables
 
 
 def pdf_page_count(payload: bytes) -> int:
@@ -675,7 +820,7 @@ def extract_pdf_pages(payload: bytes, lo: int, hi: int) -> list[tuple[str, str]]
     objects = _scan_objects(payload)
     page_nums = _page_order(objects, payload)[lo:hi]
     return [
-        _layout_page_parts(_run_text_ops(_content_streams(pn, objects)))
+        _layout_page_parts(_text_chunks(_content_streams(pn, objects)))
         for pn in page_nums
     ]
 
@@ -715,7 +860,7 @@ def extract_pdf(payload: bytes) -> ExtractResult:
         tables: list[str] = []
         for pn in page_nums:
             content = _content_streams(pn, objects)
-            t, tb = _layout_page_parts(_run_text_ops(content))
+            t, tb = _layout_page_parts(_text_chunks(content))
             pages.append(t)
             tables.append(tb)
         return assemble_pdf_result(pages, tables)

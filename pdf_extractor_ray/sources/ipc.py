@@ -9,10 +9,13 @@ here is the same as the JSONL/CSV adapters — every batch is cast to the
 canonical schema inside ``map_batches`` so downstream stages see blocks
 identical to the parquet reader's.
 
-The sink writes ONE .arrow file per block from inside the task (atomic
-tmp-then-rename like the parquet partition sink) and then commits a
-``_MANIFEST.json`` naming exactly the run's files — the authoritative
-read-back set. Filenames carry a per-block-occurrence component so two
+The sink writes ONE .arrow file per block from inside the task, into a
+staging directory unique to the run. The commit then moves exactly the
+files of successful task returns into place, writes a ``_MANIFEST.json``
+naming them — the authoritative read-back set — prunes part files not in
+it and removes the staging directory. A late attempt of a block write (a
+zombie or duplicate task) can only reach the staging directory, never the
+committed one. Filenames carry a per-block-occurrence component so two
 DISTINCT blocks with byte-identical contents never collapse to one file
 (the row multiset is preserved exactly); stale part files from earlier
 runs are pruned at commit, so a re-run converges the directory to the
@@ -25,6 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import uuid
 from glob import glob
 from itertools import count
 
@@ -71,12 +76,15 @@ def read_docs_ipc(input_path: str, columns: list[str] | None = None) -> rd.Datas
 
 
 def write_docs_ipc(ds: rd.Dataset, output_path: str) -> pa.Table:
-    """Documents egress: one IPC file per block, written distributed with
-    atomic rename; commits ``_MANIFEST.json`` and prunes part files not in
-    it; returns the (file, rows) manifest table."""
+    """Documents egress: one IPC file per block, written distributed into
+    a run-unique staging directory; commits the files of successful task
+    returns into ``output_path`` with ``_MANIFEST.json``, prunes part files
+    not in it and returns the (file, rows) manifest table."""
     from ..functions.agg import collect
 
     os.makedirs(output_path, exist_ok=True)
+    staging = os.path.join(output_path, f".staging-{uuid.uuid4().hex}")
+    os.mkdir(staging)
 
     def write_block(batch: pa.Table) -> pa.Table:
         sink = pa.BufferOutputStream()
@@ -85,44 +93,45 @@ def write_docs_ipc(ds: rd.Dataset, output_path: str) -> pa.Table:
         data = sink.getvalue().to_pybytes()
         # filename = content hash + (pid, per-process seq): two DISTINCT
         # blocks with byte-identical contents must not collapse to one
-        # file (the row multiset would silently shrink on read-back); a
-        # filename collision now requires same pid + same seq + same
-        # bytes, i.e. a retried task rewriting its own block — where
-        # overwrite is the correct, idempotent outcome. A retry landing
-        # in a different process can orphan its first file; the manifest
-        # commit below names only SUCCESSFUL task returns and the orphan
-        # is pruned.
+        # file (the row multiset would silently shrink on read-back), and
+        # no two attempts share a file. Only the names of SUCCESSFUL task
+        # returns are committed; a retry's or zombie's file stays in the
+        # staging directory, and once the commit has removed it the open
+        # fails.
         seq = next(_BLOCK_SEQ)
-        name = f"{hashlib.md5(data).hexdigest()[:16]}-{os.getpid()}-{seq}"
-        tmp = os.path.join(output_path, f".part-{name}.tmp")
-        final = os.path.join(output_path, f"part-{name}.arrow")
-        with open(tmp, "wb") as f:
+        name = f"part-{hashlib.md5(data).hexdigest()[:16]}-{os.getpid()}-{seq}.arrow"
+        with open(os.path.join(staging, name), "wb") as f:
             f.write(data)
-        os.replace(tmp, final)
         return pa.table(
             {
-                "file": pa.array([final], pa.string()),
+                "file": pa.array([name], pa.string()),
                 "rows": pa.array([batch.num_rows], pa.int64()),
             }
         )
 
-    manifest = collect(ds.map_batches(write_block, batch_format="pyarrow"))
-    if manifest is None:
-        manifest = pa.table(
-            {"file": pa.array([], pa.string()), "rows": pa.array([], pa.int64())}
-        )
-    # commit: manifest atomically, then prune parts not in it (stale files
-    # from a previous run to the same dir, or orphans of retried tasks)
-    entries = [
-        {"file": f, "rows": r}
-        for f, r in zip(manifest["file"].to_pylist(), manifest["rows"].to_pylist())
-    ]
-    mtmp = os.path.join(output_path, f".{_MANIFEST}.{os.getpid()}.tmp")
-    with open(mtmp, "w") as f:
-        json.dump({"files": entries}, f, indent=1)
-    os.replace(mtmp, os.path.join(output_path, _MANIFEST))
-    keep = {e["file"] for e in entries}
-    for p in glob(f"{output_path}/part-*.arrow"):
-        if p not in keep:
-            os.remove(p)
-    return manifest
+    try:
+        staged = collect(ds.map_batches(write_block, batch_format="pyarrow"))
+        names = [] if staged is None else staged["file"].to_pylist()
+        rows = [] if staged is None else staged["rows"].to_pylist()
+        # commit: move the staged files into place, write the manifest
+        # atomically, then prune parts not in it (stale files from a
+        # previous run to the same dir)
+        files = [os.path.join(output_path, n) for n in names]
+        for n, f in zip(names, files):
+            os.replace(os.path.join(staging, n), f)
+        entries = [{"file": f, "rows": r} for f, r in zip(files, rows)]
+        mtmp = os.path.join(output_path, f".{_MANIFEST}.{os.getpid()}.tmp")
+        with open(mtmp, "w") as f:
+            json.dump({"files": entries}, f, indent=1)
+        os.replace(mtmp, os.path.join(output_path, _MANIFEST))
+        keep = set(files)
+        for p in glob(f"{output_path}/part-*.arrow"):
+            if p not in keep:
+                os.remove(p)
+    finally:
+        # a zombie writing into it right now can make the removal fail;
+        # its file is never committed either way
+        shutil.rmtree(staging, ignore_errors=True)
+    return pa.table(
+        {"file": pa.array(files, pa.string()), "rows": pa.array(rows, pa.int64())}
+    )

@@ -198,6 +198,45 @@ def test_ipc_identical_blocks_preserved(ray_session, tmp_path):
     assert sorted(back["doc_id"].tolist()) == [1, 1, 2, 2]
 
 
+def test_ipc_late_block_write_cannot_reach_commit(ray_session, tmp_path, monkeypatch):
+    """A block write replayed after the commit (a late zombie attempt of a
+    task whose retry already succeeded) must not add a part file to the
+    committed directory: on disk stay exactly the manifest's files."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pdf_extractor_ray.sources.ipc import read_docs_ipc, write_docs_ipc
+
+    udfs = []
+    map_batches = rd.Dataset.map_batches
+
+    def spy(self, fn, *args, **kwargs):
+        udfs.append(fn)
+        return map_batches(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+    t = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array(["a", "b"]),
+            "lang": pa.array(["en", "en"]),
+            "source": pa.array(["s", "s"]),
+            "n_chars": pa.array([1, 1], pa.int64()),
+        }
+    )
+    out = tmp_path / "late"
+    manifest = write_docs_ipc(rd.from_arrow(t), str(out))
+    (write_block,) = [f for f in udfs if f.__name__ == "write_block"]
+    try:
+        write_block(t)  # the late attempt, after the commit
+    except OSError:
+        pass
+    on_disk = {str(p) for p in out.glob("part-*.arrow")}
+    assert on_disk == set(manifest["file"].to_pylist())
+    assert [p.name for p in out.iterdir() if p.name.startswith(".staging")] == []
+    assert read_docs_ipc(str(out)).count() == 2
+
+
 def test_ipc_empty_dir_reads_empty(ray_session, tmp_path):
     """Empty egress directory -> empty canonical-schema dataset (was: crash
     in read_binary_files on an empty path list)."""
