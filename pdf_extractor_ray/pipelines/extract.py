@@ -469,6 +469,21 @@ def _explode_pages(out: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
+def checkpoint_task(fn):
+    """``fn`` as a raw Ray task of the checkpoint stages (one CPU). The
+    infra-level retry budget comes from the engine's declared config
+    (reference per-extractor {max_retries, countdown}, constants.py:72-95
+    applied at tasks.py:334-340); kernels never throw, so a task failure
+    is a worker death and retry_exceptions stays False (infra errors are
+    not app-retried, tasks.py:112-123 semantics)."""
+    import ray
+
+    from ..stages.registry import get_extractor
+
+    budget = int(get_extractor("main_content").info().get("max_retries", 1))
+    return ray.remote(num_cpus=1, max_retries=budget, retry_exceptions=False)(fn)
+
+
 def run_checkpoint(
     input_path: str,
     output_dir: str,
@@ -527,17 +542,7 @@ def run_checkpoint(
         )
     dup_index = build_dup_index(input_path)
     dup_ref = ray.put(dup_index)  # broadcast once, read zero-copy per task
-    # infra-level retry budget from the engine's declared config (reference
-    # per-extractor {max_retries, countdown}, constants.py:72-95 applied at
-    # tasks.py:334-340); kernels never throw, so a task failure is a worker
-    # death and retry_exceptions stays False (infra errors are not
-    # app-retried, tasks.py:112-123 semantics)
-    from ..stages.registry import get_extractor
-
-    budget = int(get_extractor("main_content").info().get("max_retries", 1))
-    worker = ray.remote(
-        num_cpus=1, max_retries=budget, retry_exceptions=False
-    )(process_partition)
+    worker = checkpoint_task(process_partition)
     bases = _group_bases(groups)
     futures = [
         worker.remote(
@@ -567,9 +572,10 @@ def _partition_files(output_dir: str, name: str) -> list[str]:
     ]
 
 
-def read_extracted(output_dir: str) -> rd.Dataset:
+def read_extracted(output_dir: str, columns: list[str] | None = None) -> rd.Dataset:
     """Read back a checkpoint-mode output directory as one Dataset, one
-    read task and one block per partition file. Ray's own estimate would
+    read task and one block per partition file, only ``columns`` when
+    given (all by default). Ray's own estimate would
     split each file into blocks below its 1 MiB minimum whenever the
     files are fewer than the blocks it wants, and every block costs each
     downstream exchange a task. ``run_checkpoint`` already sizes the
@@ -577,7 +583,7 @@ def read_extracted(output_dir: str) -> rd.Dataset:
     its 128 MiB target. The trade-off: read parallelism, and with it the
     training egress', follows the checkpoint's ``n_partitions``."""
     paths = _partition_files(output_dir, "extracted.parquet")
-    return rd.read_parquet(paths, override_num_blocks=len(paths))
+    return rd.read_parquet(paths, columns=columns, override_num_blocks=len(paths))
 
 
 def read_keys(output_dir: str) -> pa.Table:

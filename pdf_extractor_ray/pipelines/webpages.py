@@ -11,7 +11,10 @@ is itself a `map_batches` stage — the corpus never materializes driver-side.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data as rd
 
@@ -329,6 +332,71 @@ def _winner_segments(ids, starts, docs: pa.Table, budget: int) -> pa.Table:
     return _segments_table(kept["text"], win_starts, budget)
 
 
+# the checkpoint columns the training egress reads
+_TEXT_COLUMNS = ["doc_id", "status", "extracted_text"]
+
+
+def assemble_bucket(group: pa.Table) -> pa.Table:
+    """(seq_id, seg_start, seg_text) segment rows of whole sequences ->
+    one (seq_id, n_tokens, text) row per sequence, ascending seq_id. ONE
+    vectorized pass per exchange block (a map_groups call per seq_id
+    measured ~60 s at 187k seqs — the per-group Python killer): sort
+    (seq_id, seg_start), cut at seq changes, binary_join the segment texts
+    per sequence."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    g = group.sort_by([("seq_id", "ascending"), ("seg_start", "ascending")])
+    sid = g["seq_id"].to_numpy(zero_copy_only=False)
+    first = np.ones(len(sid), bool)
+    first[1:] = sid[1:] != sid[:-1]
+    idx = np.flatnonzero(first)
+    offsets = pa.array(np.append(idx, len(sid)), pa.int64())
+    lists = pa.LargeListArray.from_arrays(offsets, g["seg_text"].combine_chunks())
+    text = pc.binary_join(lists, pa.scalar(" ", pa.large_string()))
+    ntok = pc.add(
+        pc.cast(pc.count_substring(text, " "), pa.int64()),
+        pa.scalar(1, pa.int64()),
+    )
+    return pa.table(
+        {"seq_id": pa.array(sid[idx], pa.int64()), "n_tokens": ntok, "text": text}
+    )
+
+
+def _range_slices(path: str, offsets, budget: int, bounds):
+    """Map task of the below-limit egress: the winner segments of one
+    checkpoint partition's ``extracted.parquet``, cut into the seq-id
+    ranges ``[bounds[k], bounds[k + 1])`` — one table per range, a bare
+    table for a single range (``num_returns=1``)."""
+    import numpy as np
+
+    ids, starts = offsets
+    docs = ok_docs(pq.read_table(path, columns=_TEXT_COLUMNS))
+    seg = _winner_segments(ids, starts, docs, budget)
+    k = np.searchsorted(bounds, seg["seq_id"].to_numpy(), side="right") - 1
+    order = np.argsort(k, kind="stable")
+    seg = seg.take(order)
+    cuts = np.searchsorted(k[order], np.arange(len(bounds)))
+    parts = [seg.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+def _write_shard(staging: str, k: int, *slices: pa.Table) -> str:
+    """Reduce task of the below-limit egress: assemble one seq-id range
+    from every partition's slice of it and write ``shard-{k:05d}.parquet``
+    into the run's staging dir. Returns the file name. The file appears
+    whole, by rename, so two attempts of one task never leave a torn
+    file; once the driver has committed the run and removed the staging
+    dir, a late attempt fails instead of writing."""
+    import uuid
+
+    name = f"shard-{k:05d}.parquet"
+    tmp = os.path.join(staging, f".{name}.{uuid.uuid4().hex}")
+    pq.write_table(assemble_bucket(pa.concat_tables(slices)), tmp)
+    os.replace(tmp, os.path.join(staging, name))
+    return name
+
+
 def write_training_shards(
     input_path: str,
     workdir: str,
@@ -352,18 +420,31 @@ def write_training_shards(
     - up to ``broadcast_limit`` input rows, the driver reads the gated
       (doc_id, md5 key, n_tokens) rows every checkpoint partition wrote
       next to its texts (``keys.parquet``, ``read_keys``) and packs them
-      as ``prepare_training_ds`` does (``training_offsets``). The
-      (doc_id, tok_start) pairs BROADCAST to the text read, so each doc
-      slices its own segments locally;
+      as ``prepare_training_ds`` does (``training_offsets``). The egress
+      is then the second stage of checkpoint-mode Ray tasks, no Ray Data:
+      with the offsets it knows n_seqs, so it cuts the seq ids into ``nb``
+      ranges at ``n_seqs * k // nb``, ``nb`` = the checkpoint's partition
+      count. One map task per partition reads its texts once (three
+      columns), slices each winner's segments locally against the
+      ``ray.put`` (doc_id, tok_start) arrays and returns one slice per
+      range; one reduce task per non-empty range assembles its slices and
+      writes ``shard-{k:05d}.parquet``, one contiguous ascending seq-id
+      range per file. That is nb² slice objects, as many as the sort
+      exchange this replaced; slices under Ray's inline size return
+      through the driver. Reduces write into a run-unique
+      ``.staging-*`` dir under ``out_dir`` and the driver commits the
+      files by rename and removes the dir, so no task write reaches
+      ``out_dir`` after the commit (the ``sources/ipc.py`` sink's rule);
     - past the limit, ``prepare_training_ds(emit_offsets=True)`` computes
       the offsets in its keyed exchanges and a BUCKETED doc_id hash JOIN
       (one ``keyed_join`` exchange: text payloads hop once into their
-      bucket, offsets probe by searchsorted) brings them to the texts.
+      bucket, offsets probe by searchsorted) brings them to the texts;
+      ``assemble_bucket`` runs in one keyed exchange by seq_id and Ray
+      Data writes the files under its own names.
 
-    Sequence assembly is then ONE keyed exchange of token payloads grouped
-    by seq_id — each window's segments meet exactly once. Below the limit
-    the call runs ONE Ray Data execution, which reads each text once:
-    read -> segments -> exchange -> write.
+    Both plans assemble each sequence exactly once from its segments, so
+    the rows are the same. A run first removes the ``*.parquet`` files and
+    stale ``.staging-*`` dirs earlier runs left in ``out_dir``.
     Output rows: (seq_id, n_tokens, text). Returns a one-row summary
     table (n_seqs, n_tokens) from the packing itself: token position p
     lands in sequence p // budget, so n_seqs = ceil(n_tokens / budget).
@@ -376,17 +457,23 @@ def write_training_shards(
     7.5 s and 1.8 GB.
     Past the limit nothing row-sized reaches the driver."""
     import glob
-    import os
+    import shutil
+    import tempfile
 
     import numpy as np
-    import pyarrow.compute as pc
 
     import ray
 
     from ..functions.agg import keyed_exchange, keyed_join, scaled_partitions
     from ..functions.textops import prepare_training_ds, training_offsets
     from ..sources.pages import count_rows
-    from .extract import read_extracted, read_keys, run_checkpoint
+    from .extract import (
+        _partition_files,
+        checkpoint_task,
+        read_extracted,
+        read_keys,
+        run_checkpoint,
+    )
 
     run_checkpoint(
         input_path,
@@ -397,11 +484,13 @@ def write_training_shards(
         assign_doc_ids=True,
     )
     # idempotent re-run, also when no doc wins: clear stale shard files
-    # first (write_parquet appends uniquely-named files; leftovers would
-    # double-count on read)
+    # first (leftovers would double-count on read) and the staging dirs
+    # of killed runs
     os.makedirs(out_dir, exist_ok=True)
     for p in glob.glob(f"{out_dir}/*.parquet"):
         os.remove(p)
+    for p in glob.glob(f"{out_dir}/.staging-*"):
+        shutil.rmtree(p, ignore_errors=True)
 
     def summary(total: int) -> pa.Table:
         return pa.table(
@@ -411,81 +500,68 @@ def write_training_shards(
             }
         )
 
-    docs = read_extracted(workdir).map_batches(ok_docs, batch_format="pyarrow")
     n_rows = count_rows(input_path)
     if n_rows <= broadcast_limit:
         keys = read_keys(workdir)
         if keys.num_rows == 0:
             return summary(0)
         ids, starts, total = training_offsets(keys)
-        n_meta = len(ids)
+        paths = _partition_files(workdir, "extracted.parquet")
+        nb, n_seqs = len(paths), -(-total // budget)
+        bounds = np.array([n_seqs * k // nb for k in range(nb + 1)], np.int64)
         ref = ray.put((ids, starts))
-
-        def segments(batch: pa.Table) -> pa.Table:
-            ids_b, starts_b = ray.get(ref)
-            return _winner_segments(ids_b, starts_b, batch, budget)
-
-        seg_ds = docs.map_batches(segments, batch_format="pyarrow")
-    else:
-        # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
-        # tok_start, n_tokens) int64 triple per WINNER doc — 24 B/row of
-        # distributed, spillable object-store residency; the driver only
-        # sees the row count and the token total
-        meta_ds = prepare_training_ds(
-            docs, n_rows, budget=budget, emit_offsets=True
-        ).select_columns(["doc_id", "tok_start", "n_tokens"]).materialize()
-        n_meta = meta_ds.count()
-        if n_meta == 0:
-            return summary(0)
-        total = int(meta_ds.sum("n_tokens"))
-
-        # scale path: bucketed join on doc_id — offsets and text payloads
-        # meet in their hash bucket, one exchange
-        def join_segments(meta: pa.Table, d: pa.Table) -> pa.Table:
-            if d.num_rows == 0:  # a bucket of offsets only
-                return _segments_table(pa.array([], pa.string()), [], budget)
-            m = meta.sort_by([("doc_id", "ascending")])
-            return _winner_segments(
-                m["doc_id"].to_numpy(zero_copy_only=False),
-                m["tok_start"].to_numpy(zero_copy_only=False),
-                d,
-                budget,
+        split = checkpoint_task(_range_slices).options(num_returns=nb)
+        slices = [split.remote(p, ref, budget, bounds) for p in paths]
+        if nb == 1:  # num_returns=1 gives a bare ref
+            slices = [[s] for s in slices]
+        write = checkpoint_task(_write_shard)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+        try:
+            names = ray.get(
+                [
+                    write.remote(staging, k, *(s[k] for s in slices))
+                    for k in range(nb)
+                    if bounds[k] < bounds[k + 1]
+                ]
             )
+            for name in names:
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        return summary(total)
 
-        seg_ds = keyed_join(
-            meta_ds, docs, ["doc_id"], ["doc_id"], join_segments,
-            n_parts=scaled_partitions(n_meta),
+    # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
+    # tok_start, n_tokens) int64 triple per WINNER doc — 24 B/row of
+    # distributed, spillable object-store residency; the driver only
+    # sees the row count and the token total
+    docs = read_extracted(workdir, _TEXT_COLUMNS).map_batches(
+        ok_docs, batch_format="pyarrow"
+    )
+    meta_ds = prepare_training_ds(
+        docs, n_rows, budget=budget, emit_offsets=True
+    ).select_columns(["doc_id", "tok_start", "n_tokens"]).materialize()
+    n_meta = meta_ds.count()
+    if n_meta == 0:
+        return summary(0)
+    total = int(meta_ds.sum("n_tokens"))
+
+    # scale path: bucketed join on doc_id — offsets and text payloads
+    # meet in their hash bucket, one exchange
+    def join_segments(meta: pa.Table, d: pa.Table) -> pa.Table:
+        if d.num_rows == 0:  # a bucket of offsets only
+            return _segments_table(pa.array([], pa.string()), [], budget)
+        m = meta.sort_by([("doc_id", "ascending")])
+        return _winner_segments(
+            m["doc_id"].to_numpy(zero_copy_only=False),
+            m["tok_start"].to_numpy(zero_copy_only=False),
+            d,
+            budget,
         )
 
-    def assemble_bucket(group: pa.Table) -> pa.Table:
-        # ONE vectorized pass per exchange block of whole sequences (a
-        # map_groups call per seq_id measured ~60 s at 187k seqs — the
-        # per-group Python killer): sort (seq_id, seg_start), cut at seq
-        # changes, binary_join the segment texts per sequence
-        g = group.sort_by(
-            [("seq_id", "ascending"), ("seg_start", "ascending")]
-        )
-        sid = g["seq_id"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(sid), bool)
-        first[1:] = sid[1:] != sid[:-1]
-        idx = np.flatnonzero(first)
-        offsets = pa.array(np.append(idx, len(sid)), pa.int64())
-        lists = pa.LargeListArray.from_arrays(
-            offsets, g["seg_text"].combine_chunks()
-        )
-        text = pc.binary_join(lists, pa.scalar(" ", pa.large_string()))
-        ntok = pc.add(
-            pc.cast(pc.count_substring(text, " "), pa.int64()),
-            pa.scalar(1, pa.int64()),
-        )
-        return pa.table(
-            {
-                "seq_id": pa.array(sid[idx], pa.int64()),
-                "n_tokens": ntok,
-                "text": text,
-            }
-        )
-
+    seg_ds = keyed_join(
+        meta_ds, docs, ["doc_id"], ["doc_id"], join_segments,
+        n_parts=scaled_partitions(n_meta),
+    )
     keyed_exchange(
         seg_ds, ["seq_id"], assemble_bucket, scaled_partitions(n_meta)
     ).write_parquet(out_dir)
@@ -515,8 +591,8 @@ def checkpointed_training(
         emit_pages=False,
         assign_doc_ids=True,
     )
-    extracted = read_extracted(workdir)
-
-    docs = extracted.map_batches(ok_docs, batch_format="pyarrow")
+    docs = read_extracted(workdir, _TEXT_COLUMNS).map_batches(
+        ok_docs, batch_format="pyarrow"
+    )
     n_rows = count_rows(input_path)
     return prepare_training_ds(docs, n_rows, budget=budget)

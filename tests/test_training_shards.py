@@ -361,3 +361,158 @@ def test_partition_without_ok_rows_writes_empty_keys(ray_session, tmp_path):
     assert [k.num_rows for k in keys] == [1, 0]
     assert keys[1].schema == keys[0].schema
     assert run_checkpoint(str(tmp_path / "pages"), work, resume=True, **kw).num_rows == 0
+
+
+def _shard_ranges(out_dir) -> list[tuple[str, list[int]]]:
+    """(file name, seq ids in file order) per ``shard-*`` file, by name."""
+    return [
+        (p.name, pq.read_table(p, columns=["seq_id"])["seq_id"].to_pylist())
+        for p in sorted(out_dir.glob("shard-*.parquet"))
+    ]
+
+
+def _assert_range_shards(out_dir, n_seqs: int) -> None:
+    """Every parquet file of ``out_dir`` is a ``shard-K`` file holding one
+    contiguous ascending seq-id range, the ranges ascend with K and
+    together cover 0 .. n_seqs - 1."""
+    ranges = _shard_ranges(out_dir)
+    assert sorted(p.name for p in out_dir.glob("*.parquet")) == [n for n, _ in ranges]
+    flat: list[int] = []
+    for _, ids in ranges:
+        assert ids and ids == list(range(ids[0], ids[0] + len(ids)))
+        flat.extend(ids)
+    assert flat == list(range(n_seqs))
+
+
+def write_training_shards_of(pages, work, out, **kw) -> pa.Table:
+    from pdf_extractor_ray.pipelines.webpages import write_training_shards
+
+    return write_training_shards(str(pages), str(work), str(out), **kw)
+
+
+def test_range_shards_are_deterministic(ray_session, small_corpus, tmp_path):
+    """Below the broadcast limit, two runs over one checkpoint into fresh
+    dirs write the same ``shard-K`` names with the same bytes, each file
+    one contiguous ascending seq-id range, and the rows equal the
+    distributed plan's."""
+    work, kw = str(tmp_path / "work"), dict(budget=64, n_partitions=4)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        summary = write_training_shards_of(small_corpus["corpus"], work, out, **kw)
+        n_seqs = summary["n_seqs"][0].as_py()
+        _assert_range_shards(out, n_seqs)
+        runs.append({p.name: p.read_bytes() for p in out.glob("*.parquet")})
+    assert runs[0] == runs[1]
+    assert 1 < len(runs[0]) <= 4
+    write_training_shards_of(
+        small_corpus["corpus"], work, tmp_path / "dist", broadcast_limit=0, **kw
+    )
+    assert _read_shards(tmp_path / "a").equals(_read_shards(tmp_path / "dist"))
+
+
+def test_one_partition_writes_one_range(ray_session, small_corpus, tmp_path):
+    """``n_partitions=1``: one map task with a single return, one shard
+    file, the same rows as a four-partition checkpoint."""
+    kw = dict(budget=64)
+    one = write_training_shards_of(
+        small_corpus["corpus"], tmp_path / "w1", tmp_path / "one", n_partitions=1, **kw
+    )
+    write_training_shards_of(
+        small_corpus["corpus"], tmp_path / "w4", tmp_path / "four", n_partitions=4, **kw
+    )
+    assert [n for n, _ in _shard_ranges(tmp_path / "one")] == ["shard-00000.parquet"]
+    _assert_range_shards(tmp_path / "one", one["n_seqs"][0].as_py())
+    assert _read_shards(tmp_path / "one").equals(_read_shards(tmp_path / "four"))
+
+
+def test_partitions_without_winners(ray_session, tmp_path):
+    """A partition whose ok texts all lose to copies in an earlier one, and
+    a partition with no ok row, add nothing to the stream; both plans
+    agree."""
+    a, b = _long_text(30), _long_text(31)
+    _write_pages(
+        tmp_path / "pages",
+        [[a, _long_text(32)], [b, a], [a, b], ["tiny page"]],
+    )
+    plans = []
+    for limit in (20_000_000, 0):
+        out = tmp_path / f"shards-{limit}"
+        summary = write_training_shards_of(
+            tmp_path / "pages", tmp_path / "work", out,
+            budget=16, n_partitions=4, broadcast_limit=limit,
+        )
+        plans.append(_read_shards(out))
+    _assert_range_shards(tmp_path / "shards-20000000", summary["n_seqs"][0].as_py())
+    assert plans[0].equals(plans[1])
+    got: list[str] = []
+    for t in plans[0]["text"].to_pylist():
+        got.extend(t.split(" "))
+    # each extracted text is the page title "doc" and the planted text
+    winners = " ".join(f"doc {t}" for t in (a, _long_text(32), b))
+    assert sorted(got) == sorted(winners.split(" "))
+
+
+def test_fewer_sequences_than_partitions(ray_session, tmp_path):
+    """``n_seqs < nb``: empty seq-id ranges run no reduce and write no
+    file."""
+    _write_pages(
+        tmp_path / "pages", [[_long_text(40)], [_long_text(41)], [_long_text(42)], [_long_text(43)]]
+    )
+    kw = dict(budget=100, n_partitions=4)  # 4 docs x 61 tokens: 3 sequences
+    summary = write_training_shards_of(tmp_path / "pages", tmp_path / "work", tmp_path / "out", **kw)
+    assert summary.to_pylist() == [{"n_seqs": 3, "n_tokens": 244}]
+    # bounds 3k // 4: [0, 0, 1, 2, 3] -> range 0 is empty
+    assert _shard_ranges(tmp_path / "out") == [
+        ("shard-00001.parquet", [0]),
+        ("shard-00002.parquet", [1]),
+        ("shard-00003.parquet", [2]),
+    ]
+    write_training_shards_of(
+        tmp_path / "pages", tmp_path / "work", tmp_path / "dist", broadcast_limit=0, **kw
+    )
+    assert _read_shards(tmp_path / "out").equals(_read_shards(tmp_path / "dist"))
+
+
+def test_late_shard_write_cannot_reach_commit(ray_session, small_corpus, tmp_path, monkeypatch):
+    """A reduce attempt replayed after the commit (a late zombie of a task
+    whose retry already succeeded) must not add or change a file in the
+    committed dir, and the staging dir is gone."""
+    import tempfile
+
+    from pdf_extractor_ray.pipelines import webpages
+
+    staged = []
+    mkdtemp = tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        staged.append(mkdtemp(*args, **kwargs))
+        return staged[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    out = tmp_path / "out"
+    write_training_shards_of(
+        small_corpus["corpus"], tmp_path / "work", out, budget=64, n_partitions=4
+    )
+    (staging,) = staged
+    committed = {p.name: p.read_bytes() for p in out.iterdir()}
+    seg = webpages._segments_table(pa.array(["late attempt"]), [0], 64)
+    with pytest.raises(OSError):
+        webpages._write_shard(staging, 0, seg)  # the late attempt
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == committed
+    assert not any(n.startswith(".staging") for n in committed)
+
+
+def test_stale_staging_dir_is_removed(ray_session, small_corpus, tmp_path):
+    """A killed run's ``.staging-*`` dir (and its shard file) is removed by
+    the next run into the same dir; nothing of it is committed."""
+    out = tmp_path / "out"
+    stale = out / ".staging-killed"
+    stale.mkdir(parents=True)
+    pq.write_table(pa.table({"seq_id": [999]}), str(stale / "shard-00000.parquet"))
+    summary = write_training_shards_of(
+        small_corpus["corpus"], tmp_path / "work", out, budget=64, n_partitions=4
+    )
+    assert not stale.exists()
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+    _assert_range_shards(out, summary["n_seqs"][0].as_py())
