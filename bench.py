@@ -30,6 +30,26 @@ DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 
+def host() -> dict:
+    """perfbench's host fingerprint (nproc, CPU model, load, a calibration
+    loop), taken before a run. Its ``ray_num_cpus`` is perfbench's fixed
+    one-CPU setting, so it is dropped: these records carry their own."""
+    from perfbench.run import host_fingerprint
+
+    fp = host_fingerprint()
+    fp.pop("ray_num_cpus", None)
+    return fp
+
+
+def host_note(fp: dict) -> str:
+    """A SCALING.md line's host stamp."""
+    return (
+        f"host: nproc={fp['nproc']}, cpus_available={fp['cpus_available']}, "
+        f"{fp['cpu_model'] or 'unknown CPU'}, loadavg={fp['loadavg']}, "
+        f"calibration_s={fp['calibration_s']}"
+    )
+
+
 def corpus_bytes(path: str) -> int:
     return sum(
         os.path.getsize(os.path.join(path, f))
@@ -338,6 +358,7 @@ SCALING_LEVELS = (2, 8)
 def run_scaling(sf_dir: str, levels: tuple[int, int] = SCALING_LEVELS) -> dict:
     """Same job in two fresh subprocesses at N and 4N parallelism."""
     sf = sf_of(sf_dir)
+    fp = host()
     # pre-generate corpus once so neither timed run pays generation
     import ray
 
@@ -373,6 +394,7 @@ def run_scaling(sf_dir: str, levels: tuple[int, int] = SCALING_LEVELS) -> dict:
         "unit": "ratio",
         "levels": {str(k): v for k, v in results.items()},
         "sf": sf,
+        "host": fp,
     }
     bench_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH")
     os.makedirs(bench_dir, exist_ok=True)
@@ -382,7 +404,7 @@ def run_scaling(sf_dir: str, levels: tuple[int, int] = SCALING_LEVELS) -> dict:
             f"({results[lo]['mb_per_s']} MB/s), {hi}cpu {results[hi]['docs_per_s']} docs/s "
             f"({results[hi]['mb_per_s']} MB/s), efficiency={eff:.3f} "
             f"(checkpoint mode, 256 partitions, failures="
-            f"{results[lo]['failures']}/{results[hi]['failures']})\n"
+            f"{results[lo]['failures']}/{results[hi]['failures']}; {host_note(fp)})\n"
         )
     return report
 
@@ -432,6 +454,7 @@ def run_scaling_training(
     """--scaling for the full training composition: same two-fresh-process
     best-of-2 protocol as the extraction scaling run."""
     sf = sf_of(sf_dir)
+    fp = host()
     import ray
 
     ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
@@ -463,6 +486,7 @@ def run_scaling_training(
         "unit": "ratio",
         "levels": {str(k): v for k, v in results.items()},
         "sf": sf,
+        "host": fp,
     }
     bench_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH")
     os.makedirs(bench_dir, exist_ok=True)
@@ -471,7 +495,7 @@ def run_scaling_training(
             f"\n- sf={sf} TRAINING COMPOSITION: {lo}cpu "
             f"{results[lo]['docs_per_s']} docs/s, {hi}cpu "
             f"{results[hi]['docs_per_s']} docs/s, efficiency={eff:.3f} "
-            f"(best-of-2 interleaved fresh processes)\n"
+            f"(best-of-2 interleaved fresh processes; {host_note(fp)})\n"
         )
     return report
 
@@ -516,6 +540,7 @@ def main() -> None:
         # the raylet outright — unrecoverable in-process, clean on retry.
         # The attempt number lands in RESULT.json and the printed line, so
         # a run that needed the retry says so.
+        fp = host()
         for attempt in (1, 2):
             p = subprocess.run(
                 [sys.executable, os.path.abspath(__file__),
@@ -530,6 +555,7 @@ def main() -> None:
             if p.returncode == 0 and lines:
                 full = json.loads(lines[-1])
                 full["attempt"] = attempt
+                full["host"] = fp
                 # Full per-query record -> BENCH/RESULT.json (the r2 line at
                 # 127 stages outgrew the driver's 2 KB tail capture and
                 # graded as parsed=null); print a COMPACT final line with

@@ -484,6 +484,15 @@ def checkpoint_task(fn):
     return ray.remote(num_cpus=1, max_retries=budget, retry_exceptions=False)(fn)
 
 
+def _footer_schema(path: str) -> pa.Schema | None:
+    """The schema in a parquet file's footer; None when the file is
+    missing or its footer cannot be read."""
+    try:
+        return pq.read_schema(path)
+    except (OSError, pa.ArrowInvalid):
+        return None
+
+
 def run_checkpoint(
     input_path: str,
     output_dir: str,
@@ -525,21 +534,26 @@ def run_checkpoint(
         # a checkpoint written by a pre-doc_id release would otherwise
         # surface as an opaque KeyError deep in the packing exchange —
         # validate the finished partitions' schema up front (footer-only
-        # read) and fail actionably
+        # read) and fail actionably. A partition whose extracted.parquet
+        # or keys.parquet footer cannot be read (torn, truncated), or
+        # committed before the keys product existed (no keys.parquet),
+        # is re-extracted instead
+        kept = set()
         for pid in skip:
-            p = os.path.join(output_dir, f"part-{pid}", "extracted.parquet")
-            if "doc_id" not in pq.read_schema(p).names:
+            part = os.path.join(output_dir, f"part-{pid}")
+            p = os.path.join(part, "extracted.parquet")
+            schema = _footer_schema(p)
+            if schema is not None and "doc_id" not in schema.names:
                 raise ValueError(
                     f"stale checkpoint: {p} has no 'doc_id' column (written "
                     "by a run without assign_doc_ids); delete the workdir "
                     "or re-run with resume=False to re-extract"
                 )
-        # a partition committed before the keys product existed has no
-        # keys.parquet: re-extract it rather than read its texts again
-        skip = frozenset(
-            pid for pid in skip
-            if os.path.exists(os.path.join(output_dir, f"part-{pid}", "keys.parquet"))
-        )
+            if schema is not None and _footer_schema(
+                os.path.join(part, "keys.parquet")
+            ) is not None:
+                kept.add(pid)
+        skip = frozenset(kept)
     dup_index = build_dup_index(input_path)
     dup_ref = ray.put(dup_index)  # broadcast once, read zero-copy per task
     worker = checkpoint_task(process_partition)

@@ -363,36 +363,93 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     )
 
 
-def _range_slices(path: str, offsets, budget: int, bounds):
-    """Map task of the below-limit egress: the winner segments of one
-    checkpoint partition's ``extracted.parquet``, cut into the seq-id
-    ranges ``[bounds[k], bounds[k + 1])`` — one table per range, a bare
-    table for a single range (``num_returns=1``)."""
+# the below-limit egress's per-partition product, and the schema-metadata
+# field that holds its packing key
+_SEGMENTS = "segments.arrow"
+_KEY_FIELD = b"packing_key"
+
+
+def packing_key(keys: pa.Table, budget: int, nb: int) -> str:
+    """The key a partition's ``segments.arrow`` is valid under: a hash of
+    the ``read_keys`` table (every winner's offset, and so the seq-id
+    bounds, follow from it), ``budget``, the range count ``nb`` and the
+    file format. Streams over the key columns' chunks, copying nothing."""
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.sha256(b"segments-v1")
+    h.update(np.array([budget, nb, keys.num_rows], np.int64).tobytes())
+    for name in ("doc_id", "k0", "k1", "n_tokens"):
+        for chunk in keys[name].chunks:
+            h.update(chunk.to_numpy())
+    return h.hexdigest()
+
+
+def _segments_key(path: str) -> str | None:
+    """The packing key in a segments file's footer; None when the file is
+    missing or its footer cannot be read."""
+    try:
+        with pa.memory_map(path) as src:
+            meta = pa.ipc.open_file(src).schema.metadata or {}
+    except (OSError, pa.ArrowInvalid):
+        return None
+    return meta.get(_KEY_FIELD, b"").decode() or None
+
+
+def _write_segments(path: str, offsets, budget: int, bounds, key: str) -> None:
+    """Map task of the below-limit egress: the winner segments of the
+    checkpoint partition that holds ``path``, written there as Arrow IPC
+    with one record batch per seq-id range ``[bounds[k], bounds[k + 1])``
+    (empty ones included) and ``key`` in the schema metadata. The file
+    appears whole, by rename from a temp name."""
+    import uuid
+
     import numpy as np
 
     ids, starts = offsets
-    docs = ok_docs(pq.read_table(path, columns=_TEXT_COLUMNS))
+    part = os.path.dirname(path)
+    docs = ok_docs(
+        pq.read_table(os.path.join(part, "extracted.parquet"), columns=_TEXT_COLUMNS)
+    )
     seg = _winner_segments(ids, starts, docs, budget)
     k = np.searchsorted(bounds, seg["seq_id"].to_numpy(), side="right") - 1
     order = np.argsort(k, kind="stable")
-    seg = seg.take(order)
+    schema = seg.schema.with_metadata({_KEY_FIELD: key.encode()})
+    rows = pa.RecordBatch.from_arrays(
+        [c.combine_chunks() for c in seg.take(order).columns], schema=schema
+    )
     cuts = np.searchsorted(k[order], np.arange(len(bounds)))
-    parts = [seg.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
-    return parts[0] if len(parts) == 1 else tuple(parts)
+    tmp = os.path.join(part, f".{_SEGMENTS}.{uuid.uuid4().hex}")
+    with pa.ipc.new_file(tmp, schema) as w:
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            w.write_batch(rows.slice(a, b - a))
+    os.replace(tmp, path)
 
 
-def _write_shard(staging: str, k: int, *slices: pa.Table) -> str:
-    """Reduce task of the below-limit egress: assemble one seq-id range
-    from every partition's slice of it and write ``shard-{k:05d}.parquet``
-    into the run's staging dir. Returns the file name. The file appears
-    whole, by rename, so two attempts of one task never leave a torn
-    file; once the driver has committed the run and removed the staging
-    dir, a late attempt fails instead of writing."""
+def _write_shard(staging: str, k: int, paths: list[str], key: str, *maps) -> str:
+    """Reduce task of the below-limit egress: assemble seq-id range ``k``
+    from batch ``k`` of every partition's segments file (memory-mapped;
+    ``maps`` are the map tasks that rewrite some of them, run first) and
+    write ``shard-{k:05d}.parquet`` into the run's staging dir. Returns
+    the file name. A file under another packing key raises instead of
+    reaching a shard. The shard appears whole, by rename, so two attempts
+    of one task never leave a torn file; once the driver has committed
+    the run and removed the staging dir, a late attempt fails instead of
+    writing."""
     import uuid
 
+    batches = []
+    for p in paths:
+        # the batch keeps its mapping after the file closes
+        with pa.memory_map(p) as f:
+            src = pa.ipc.open_file(f)
+            if (src.schema.metadata or {}).get(_KEY_FIELD) != key.encode():
+                raise ValueError(f"{p} was written under another packing key")
+            batches.append(src.get_batch(k))
     name = f"shard-{k:05d}.parquet"
     tmp = os.path.join(staging, f".{name}.{uuid.uuid4().hex}")
-    pq.write_table(assemble_bucket(pa.concat_tables(slices)), tmp)
+    pq.write_table(assemble_bucket(pa.Table.from_batches(batches)), tmp)
     os.replace(tmp, os.path.join(staging, name))
     return name
 
@@ -424,14 +481,24 @@ def write_training_shards(
       is then the second stage of checkpoint-mode Ray tasks, no Ray Data:
       with the offsets it knows n_seqs, so it cuts the seq ids into ``nb``
       ranges at ``n_seqs * k // nb``, ``nb`` = the checkpoint's partition
-      count. One map task per partition reads its texts once (three
-      columns), slices each winner's segments locally against the
-      ``ray.put`` (doc_id, tok_start) arrays and returns one slice per
-      range; one reduce task per non-empty range assembles its slices and
-      writes ``shard-{k:05d}.parquet``, one contiguous ascending seq-id
-      range per file. That is nb² slice objects, as many as the sort
-      exchange this replaced; slices under Ray's inline size return
-      through the driver. Reduces write into a run-unique
+      count. Its map output is a checkpoint product: each partition's
+      winner segments, in ``part-K/segments.arrow`` (Arrow IPC, one
+      record batch per range, empty ones included) under a *packing
+      key*, a hash of the keys table, ``budget``, ``nb`` and the file
+      format (``packing_key``). The driver reads each file's footer and
+      runs a map task only where the file is missing, unreadable or
+      under another key: the task reads the partition's texts once
+      (three columns), slices each winner's segments against the
+      ``ray.put`` (doc_id, tok_start) arrays and writes the file under a
+      temp name, then renames it into place. A re-extracted partition
+      loses its file with its dir, so a resume re-segments exactly the
+      partitions it re-extracted; a change to any partition's keys, to
+      ``budget`` or to the partition count changes the key and reruns
+      every map. One reduce task per non-empty range memory-maps batch
+      k of every partition's file, raises on a file under another key,
+      assembles the range and writes ``shard-{k:05d}.parquet``, one
+      contiguous ascending seq-id range per file. Cold and resumed runs
+      share this one path. Reduces write into a run-unique
       ``.staging-*`` dir under ``out_dir`` and the driver commits the
       files by rename and removes the dir, so no task write reaches
       ``out_dir`` after the commit (the ``sources/ipc.py`` sink's rule);
@@ -444,7 +511,8 @@ def write_training_shards(
 
     Both plans assemble each sequence exactly once from its segments, so
     the rows are the same. A run first removes the ``*.parquet`` files and
-    stale ``.staging-*`` dirs earlier runs left in ``out_dir``.
+    stale ``.staging-*`` dirs earlier runs left in ``out_dir``, and the
+    ``part-*/.segments.arrow.*`` temp files of killed map attempts.
     Output rows: (seq_id, n_tokens, text). Returns a one-row summary
     table (n_seqs, n_tokens) from the packing itself: token position p
     lands in sequence p // budget, so n_seqs = ceil(n_tokens / budget).
@@ -454,7 +522,10 @@ def write_training_shards(
     peaks at ~90 B per doc with them. Measured on synthetic keys (2%
     copies, doc ids in ascending runs per block), one core: 10^6 keys
     pack in 0.15 s and 0.24 GB peak RSS, 2*10^7 (the default limit) in
-    7.5 s and 1.8 GB.
+    7.5 s and 1.8 GB. The segments product adds about the winners'
+    text to each partition dir (the winner segments of its ok texts,
+    whitespace runs collapsed to one space), next to the extracted
+    texts it comes from.
     Past the limit nothing row-sized reaches the driver."""
     import glob
     import shutil
@@ -484,13 +555,15 @@ def write_training_shards(
         assign_doc_ids=True,
     )
     # idempotent re-run, also when no doc wins: clear stale shard files
-    # first (leftovers would double-count on read) and the staging dirs
-    # of killed runs
+    # first (leftovers would double-count on read), and the staging dirs
+    # and segments temp files of killed runs
     os.makedirs(out_dir, exist_ok=True)
     for p in glob.glob(f"{out_dir}/*.parquet"):
         os.remove(p)
     for p in glob.glob(f"{out_dir}/.staging-*"):
         shutil.rmtree(p, ignore_errors=True)
+    for p in glob.glob(f"{workdir}/part-*/.{_SEGMENTS}.*"):
+        os.remove(p)
 
     def summary(total: int) -> pa.Table:
         return pa.table(
@@ -506,20 +579,22 @@ def write_training_shards(
         if keys.num_rows == 0:
             return summary(0)
         ids, starts, total = training_offsets(keys)
-        paths = _partition_files(workdir, "extracted.parquet")
+        paths = _partition_files(workdir, _SEGMENTS)
         nb, n_seqs = len(paths), -(-total // budget)
         bounds = np.array([n_seqs * k // nb for k in range(nb + 1)], np.int64)
-        ref = ray.put((ids, starts))
-        split = checkpoint_task(_range_slices).options(num_returns=nb)
-        slices = [split.remote(p, ref, budget, bounds) for p in paths]
-        if nb == 1:  # num_returns=1 gives a bare ref
-            slices = [[s] for s in slices]
+        key = packing_key(keys, budget, nb)
+        stale = [p for p in paths if _segments_key(p) != key]
+        maps = []
+        if stale:
+            ref = ray.put((ids, starts))
+            segment = checkpoint_task(_write_segments)
+            maps = [segment.remote(p, ref, budget, bounds, key) for p in stale]
         write = checkpoint_task(_write_shard)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
         try:
             names = ray.get(
                 [
-                    write.remote(staging, k, *(s[k] for s in slices))
+                    write.remote(staging, k, paths, key, *maps)
                     for k in range(nb)
                     if bounds[k] < bounds[k + 1]
                 ]

@@ -412,7 +412,7 @@ def test_range_shards_are_deterministic(ray_session, small_corpus, tmp_path):
 
 
 def test_one_partition_writes_one_range(ray_session, small_corpus, tmp_path):
-    """``n_partitions=1``: one map task with a single return, one shard
+    """``n_partitions=1``: one segments file with one range, one shard
     file, the same rows as a four-partition checkpoint."""
     kw = dict(budget=64)
     one = write_training_shards_of(
@@ -496,9 +496,10 @@ def test_late_shard_write_cannot_reach_commit(ray_session, small_corpus, tmp_pat
     )
     (staging,) = staged
     committed = {p.name: p.read_bytes() for p in out.iterdir()}
-    seg = webpages._segments_table(pa.array(["late attempt"]), [0], 64)
+    paths = [str(p) for p in _segments_files(tmp_path / "work")]
+    key = webpages._segments_key(paths[0])
     with pytest.raises(OSError):
-        webpages._write_shard(staging, 0, seg)  # the late attempt
+        webpages._write_shard(staging, 0, paths, key)  # the late attempt
     assert {p.name: p.read_bytes() for p in out.iterdir()} == committed
     assert not any(n.startswith(".staging") for n in committed)
 
@@ -516,3 +517,167 @@ def test_stale_staging_dir_is_removed(ray_session, small_corpus, tmp_path):
     assert not stale.exists()
     assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
     _assert_range_shards(out, summary["n_seqs"][0].as_py())
+
+
+def _segments_files(work) -> list:
+    """Every partition's ``segments.arrow``, in partition-dir order."""
+    return sorted(work.glob("part-*/segments.arrow"), key=lambda p: p.parent.name)
+
+
+def _segment_stamps(work) -> dict[str, tuple[int, int]]:
+    """(inode, mtime) of each partition's ``segments.arrow``, by dir name:
+    a rewrite renames a new file into place, so both change."""
+    return {
+        p.parent.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in _segments_files(work)
+    }
+
+
+def _shard_bytes(out_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out_dir.glob("*.parquet")}
+
+
+def test_lost_partition_resegments_alone(ray_session, small_corpus, tmp_path):
+    """Below the limit each partition keeps its winner segments as
+    ``segments.arrow``, one record batch per seq-id range under the
+    packing key; a resume after losing ``part-2`` rewrites only its file
+    and writes the cold run's shards byte for byte."""
+    import shutil
+
+    from pdf_extractor_ray.functions.textops import training_offsets
+    from pdf_extractor_ray.pipelines.extract import read_keys
+    from pdf_extractor_ray.pipelines.webpages import _winner_segments, packing_key
+
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
+    before = _segment_stamps(work)
+    assert sorted(before) == [f"part-{k}" for k in range(4)]
+    keys = read_keys(str(work))
+    key = packing_key(keys, 64, 4)
+    ids, starts, _ = training_offsets(keys)
+    for p in _segments_files(work):
+        f = pa.ipc.open_file(pa.memory_map(str(p)))
+        assert f.schema.metadata[b"packing_key"] == key.encode()
+        assert f.num_record_batches == 4
+        seg = pa.Table.from_batches([f.get_batch(k) for k in range(4)], f.schema)
+        docs = pq.read_table(p.parent / "extracted.parquet")
+        docs = docs.filter(pc.equal(docs["status"], "ok"))
+        docs = pa.table({"doc_id": docs["doc_id"], "text": docs["extracted_text"]})
+        ref = _winner_segments(ids, starts, docs, 64)
+        order = [("seq_id", "ascending"), ("seg_start", "ascending")]
+        assert seg.replace_schema_metadata().sort_by(order).equals(ref.sort_by(order))
+
+    shutil.rmtree(work / "part-2")
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
+    after = _segment_stamps(work)
+    assert [k for k in sorted(before) if before[k] != after[k]] == ["part-2"]
+    assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
+
+
+def _rewrite_one_shard(pages) -> None:
+    """Replace the text of one input shard's first doc (a longer page, so
+    the file's size changes too)."""
+    path = pages / "part-00001.parquet"
+    t = pq.read_table(path)
+    i = t.column_names.index("html")
+    html = t["html"].to_pylist()
+    html[0] = html[0].replace(b"<article><p>", b"<article><p>fresh words " * 8, 1)
+    pq.write_table(t.set_column(i, "html", pa.array(html, t["html"].type)), path)
+
+
+@pytest.mark.parametrize("change", ["budget", "partitions", "input"])
+def test_packing_change_rewrites_every_segments_file(ray_session, tmp_path, change):
+    """A new ``budget``, partition count or input shard changes the packing
+    key, so every ``segments.arrow`` is rewritten, and the shards equal a
+    cold run's with the new inputs."""
+    _write_pages(tmp_path / "pages", [[_long_text(50 + 4 * k + j) for j in range(4)] for k in range(4)])
+    pages, work = tmp_path / "pages", tmp_path / "work"
+    kw = dict(budget=32, n_partitions=4)
+    write_training_shards_of(pages, work, tmp_path / "a", **kw)
+    before = _segment_stamps(work)
+    assert len(before) == 4
+    if change == "budget":
+        kw["budget"] = 48
+    elif change == "partitions":
+        kw["n_partitions"] = 2
+    else:
+        _rewrite_one_shard(pages)
+    write_training_shards_of(pages, work, tmp_path / "b", **kw)
+    after = _segment_stamps(work)
+    assert len(after) == kw["n_partitions"]
+    assert all(before.get(k) != v for k, v in after.items())
+    write_training_shards_of(pages, tmp_path / "cold", tmp_path / "c", **kw)
+    assert _shard_bytes(tmp_path / "b") == _shard_bytes(tmp_path / "c")
+
+
+def test_truncated_segments_and_stale_temp_files(ray_session, small_corpus, tmp_path):
+    """A ``segments.arrow`` whose footer cannot be read is recomputed, alone;
+    a killed map attempt's ``.segments.arrow.*`` temp file is removed."""
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
+    before = _segment_stamps(work)
+    seg = work / "part-1" / "segments.arrow"
+    seg.write_bytes(seg.read_bytes()[: seg.stat().st_size // 2])
+    planted = work / "part-3" / ".segments.arrow.killed"
+    planted.write_bytes(b"partial")
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
+    after = _segment_stamps(work)
+    assert [k for k in sorted(before) if before[k] != after[k]] == ["part-1"]
+    assert not planted.exists()
+    assert list(work.glob("part-*/.segments.arrow.*")) == []
+    assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
+
+
+def test_segments_under_another_key_are_refused(
+    ray_session, small_corpus, tmp_path, monkeypatch
+):
+    """A ``segments.arrow`` swapped for one under another packing key after
+    the driver checked it makes the reduce raise; no shard is committed."""
+    from pdf_extractor_ray.pipelines import webpages
+
+    work, out, kw = tmp_path / "work", tmp_path / "out", dict(budget=64, n_partitions=4)
+    write_training_shards_of(small_corpus["corpus"], work, out, **kw)
+    seg = work / "part-2" / "segments.arrow"
+    f = pa.ipc.open_file(pa.memory_map(str(seg)))
+    rows = [f.get_batch(k) for k in range(f.num_record_batches)]
+    schema = f.schema.with_metadata({b"packing_key": b"0" * 64})
+    other = tmp_path / "other.arrow"
+    with pa.ipc.new_file(str(other), schema) as w:
+        for b in rows:
+            w.write_batch(b)
+
+    check = webpages._segments_key
+
+    def check_then_swap(path):
+        key = check(path)
+        if path == str(seg):
+            other.replace(seg)
+        return key
+
+    monkeypatch.setattr(webpages, "_segments_key", check_then_swap)
+    with pytest.raises(ValueError, match="another packing key"):
+        write_training_shards_of(small_corpus["corpus"], work, out, **kw)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["keys.parquet", "extracted.parquet"])
+def test_torn_partition_file_reextracts_alone(ray_session, small_corpus, tmp_path, name):
+    """A committed doc-id partition whose ``keys.parquet`` or
+    ``extracted.parquet`` footer cannot be read is re-extracted on resume,
+    alone, and the shards equal the cold run's."""
+    import os
+
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
+    parts = sorted(work.glob("part-*"))
+
+    def stamps():
+        return [os.stat(p / "_MANIFEST.json").st_mtime_ns for p in parts]
+
+    before = stamps()
+    torn = work / "part-3" / name
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
+    assert [a != b for a, b in zip(before, stamps())] == [False, False, False, True]
+    assert pq.read_schema(torn).names
+    assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
