@@ -3474,33 +3474,26 @@ TRAINING_KEY_RANGE = (0, (1 << 64) - 1)  # k0's ``range_bucket`` bounds
 
 
 def training_offsets(keys: pa.Table) -> tuple[np.ndarray, np.ndarray, int]:
-    """The packing of ``prepare_training_ds(emit_offsets=True)``, done in
-    one process over a whole ``training_keys`` table: the winners' doc_ids
-    ascending, each one's exclusive global token prefix ``tok_start``, and
-    the token total. Both pack the winners of ``first_per_key`` in (k0, k1)
-    order; there it is k0 range after k0 range (``agg.range_bucket`` over
+    """The packing of ``prepare_training_ds``, done in one process over a
+    ``training_keys`` table: the winners' doc_ids ascending, each one's
+    exclusive token prefix ``tok_start`` within the table, and the token
+    total. Both pack the winners of ``first_per_key`` in (k0, k1) order;
+    there it is k0 range after k0 range (``agg.range_bucket`` over
     ``TRAINING_KEY_RANGE``), here it is one sort."""
     win = first_per_key(keys)
     ntok = keys["n_tokens"].to_numpy()[win]
     starts = np.full(keys.num_rows, -1, np.int64)
     starts[win] = np.cumsum(ntok) - ntok
     ids = pc.cast(keys["doc_id"], pa.int64()).to_numpy()
-    # blocks arrive as ascending doc_id runs, which a stable sort merges
-    by_id = np.argsort(ids, kind="stable")
+    by_id = np.argsort(ids)
     by_id = by_id[starts[by_id] >= 0]
     return ids[by_id], starts[by_id], int(ntok.sum())
 
 
-def prepare_training_ds(
-    ds: rd.Dataset, n_rows: int, budget: int = 512, *, emit_offsets: bool = False
-) -> rd.Dataset:
+def prepare_training_ds(ds: rd.Dataset, n_rows: int, budget: int = 512) -> rd.Dataset:
     """Dataset-generic core of ``prepare_training`` — also the tail of the
     end-to-end web->training composition (pipelines/webpages.py
-    ``web_to_training``): input any (doc_id, text) Dataset.
-    ``emit_offsets``: add the exclusive global token prefix ``tok_start``
-    per winner (the shard-materialization consumer needs the exact window
-    boundaries, not just ``seq_id = tok_start // budget``); off by default
-    so the oracle-checked output schema is unchanged."""
+    ``web_to_training``): input any (doc_id, text) Dataset."""
     from .agg import ordered_ranges, scaled_partitions
 
     def assign(w: pa.Table, starts: np.ndarray, _totals: np.ndarray) -> pa.Table:
@@ -3510,8 +3503,6 @@ def prepare_training_ds(
             "n_tokens": w["n_tokens"],
             "seq_id": pa.array(starts[:, 1] // budget),
         }
-        if emit_offsets:
-            out["tok_start"] = pa.array(starts[:, 1])
         return pa.table(out)
 
     # both passes read the reduced (doc_id, key, n_tokens) metadata table,

@@ -1,12 +1,12 @@
-"""Bridge: driver `documents` table -> pages-shaped input -> flagship
-extraction pipeline.
+"""Extraction -> training data: the compositions that feed extracted
+texts to packing (``*_to_training``) and the module that owns the training
+shard egress (``write_training_shards``, raw Ray tasks over a checkpoint).
 
 The driver test tables (`/root/testdata/sf*/documents.parquet`:
-doc_id,text,lang,source,n_chars) are not web pages; this module wraps each
-document's text into a deterministic minimal HTML page (same template every
-run) so the flagship sniff->extract pipeline can run over driver data for
-the `entry()` smoke check and rows-only correctness queries. The wrapping
-is itself a `map_batches` stage — the corpus never materializes driver-side.
+doc_id,text,lang,source,n_chars) are not web pages; ``docs_to_pages`` wraps
+each document's text into a deterministic minimal HTML page (same template
+every run) so the flagship sniff->extract pipeline runs over driver data, as
+a `map_batches` stage — the corpus never materializes driver-side.
 """
 
 from __future__ import annotations
@@ -262,8 +262,7 @@ def _segments_table(
     kept_text: "pa.ChunkedArray | pa.Array", starts, budget: int
 ) -> pa.Table:
     """Slice each doc's whitespace tokens at its exact global window
-    boundaries -> (seq_id, seg_start, seg_text) segment rows. Shared by
-    the broadcast and bucketed-join paths so both are byte-identical.
+    boundaries -> (seq_id, seg_start, seg_text) segment rows.
     Fully vectorized over the text buffer: ``ws_bounds`` finds the tokens,
     each token's global position cuts segments where the doc or the
     window changes, and a segment's text is its tokens' bytes with one
@@ -339,7 +338,7 @@ _TEXT_COLUMNS = ["doc_id", "status", "extracted_text"]
 def assemble_bucket(group: pa.Table) -> pa.Table:
     """(seq_id, seg_start, seg_text) segment rows of whole sequences ->
     one (seq_id, n_tokens, text) row per sequence, ascending seq_id. ONE
-    vectorized pass per exchange block (a map_groups call per seq_id
+    vectorized pass per seq-id range (a map_groups call per seq_id
     measured ~60 s at 187k seqs — the per-group Python killer): sort
     (seq_id, seg_start), cut at seq changes, binary_join the segment texts
     per sequence."""
@@ -363,26 +362,94 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     )
 
 
-# the below-limit egress's per-partition product, and the schema-metadata
-# field that holds its packing key
+# the egress's per-partition product, the schema-metadata field that holds
+# its packing key, and the most input rows one range task packs (~90 B per
+# key at its peak: ~0.4 GB)
 _SEGMENTS = "segments.arrow"
 _KEY_FIELD = b"packing_key"
+_KEYS_PER_RANGE = 1 << 22
 
 
-def packing_key(keys: pa.Table, budget: int, nb: int) -> str:
-    """The key a partition's ``segments.arrow`` is valid under: a hash of
-    the ``read_keys`` table (every winner's offset, and so the seq-id
-    bounds, follow from it), ``budget``, the range count ``nb`` and the
-    file format. Streams over the key columns' chunks, copying nothing."""
+def range_offsets(keys: list[str], r: int, n_ranges: int) -> tuple[list[tuple], int, str]:
+    """Range ``r`` of the packing in ``n_ranges`` k0 ranges, cut as
+    ``prepare_training_ds`` cuts its buckets (copies share a k0, so they
+    meet in one range): ``training_offsets`` of the rows of the
+    ``keys.parquet`` files ``keys`` in the range, read from the row groups
+    whose k0 statistics reach it. Returns per file its winners' doc_ids
+    ascending and their ``tok_start`` counted from the range's first
+    token, the range's token total, and a digest of the rows packed."""
     import hashlib
 
     import numpy as np
 
-    h = hashlib.sha256(b"segments-v1")
-    h.update(np.array([budget, nb, keys.num_rows], np.int64).tobytes())
-    for name in ("doc_id", "k0", "k1", "n_tokens"):
-        for chunk in keys[name].chunks:
-            h.update(chunk.to_numpy())
+    from ..functions.agg import range_bucket
+    from ..functions.textops import TRAINING_KEY_RANGE, training_offsets
+
+    def bucket(k0: np.ndarray) -> np.ndarray:
+        return range_bucket(k0, *TRAINING_KEY_RANGE, n_ranges)
+
+    def reaches(st) -> bool:
+        if st is None or not st.has_min_max:
+            return True
+        lo, hi = bucket(np.array([st.min, st.max], np.uint64))
+        return lo <= r <= hi
+
+    parts = []
+    for path in keys:
+        f = pq.ParquetFile(path)
+        col = f.schema_arrow.get_field_index("k0")
+        t = f.read_row_groups(
+            [g for g in range(f.num_row_groups) if reaches(f.metadata.row_group(g).column(col).statistics)]
+        )
+        parts.append(t.filter(bucket(t["k0"].to_numpy()) == r))
+    ids, starts, total = training_offsets(pa.concat_tables(parts))
+    h = hashlib.sha256(np.array([r, n_ranges], np.int64).tobytes())
+    out = []
+    for t in parts:
+        h.update(np.array([t.num_rows], np.int64).tobytes())
+        for name in ("doc_id", "k0", "k1", "n_tokens"):
+            for chunk in t[name].chunks:
+                h.update(chunk.to_numpy())
+        did = t["doc_id"].to_numpy()
+        pos = np.searchsorted(ids, did)
+        hit = pos < len(ids)
+        hit[hit] = ids[pos[hit]] == did[hit]
+        won = np.sort(pos[hit])
+        out.append((ids[won], starts[won]))
+    return out, total, h.hexdigest()
+
+
+def _write_offsets(staging: str, r: int, n_ranges: int, keys: list[str]) -> tuple[int, str]:
+    """Range task of the egress: ``range_offsets`` written to the run's
+    staging dir as ``offsets-{r}.arrow``, one record batch per keys file
+    (empty ones included). The file appears whole, by rename. Returns the
+    range's token total and digest."""
+    import uuid
+
+    offsets, total, digest = range_offsets(keys, r, n_ranges)
+    batches = [pa.RecordBatch.from_pydict({"doc_id": i, "tok_start": s}) for i, s in offsets]
+    name = f"offsets-{r}.arrow"
+    tmp = os.path.join(staging, f".{name}.{uuid.uuid4().hex}")
+    with pa.ipc.new_file(tmp, batches[0].schema) as w:
+        for b in batches:
+            w.write_batch(b)
+    os.replace(tmp, os.path.join(staging, name))
+    return total, digest
+
+
+def packing_key(digests: list[str], budget: int, nb: int) -> str:
+    """The key a partition's ``segments.arrow`` is valid under: a hash of
+    the range digests (every winner's offset follows from the keys they
+    cover), ``budget``, the seq-id range count ``nb``, the k0 range count
+    and the file format."""
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.sha256(b"segments-v2")
+    h.update(np.array([budget, nb, len(digests)], np.int64).tobytes())
+    for d in digests:
+        h.update(d.encode())
     return h.hexdigest()
 
 
@@ -397,22 +464,33 @@ def _segments_key(path: str) -> str | None:
     return meta.get(_KEY_FIELD, b"").decode() or None
 
 
-def _write_segments(path: str, offsets, budget: int, bounds, key: str) -> None:
-    """Map task of the below-limit egress: the winner segments of the
-    checkpoint partition that holds ``path``, written there as Arrow IPC
-    with one record batch per seq-id range ``[bounds[k], bounds[k + 1])``
-    (empty ones included) and ``key`` in the schema metadata. The file
-    appears whole, by rename from a temp name."""
+def _write_segments(
+    path: str, p: int, offsets: list[str], bases, budget: int, bounds, key: str
+) -> None:
+    """Map task of the egress: the winner segments of the checkpoint
+    partition that holds ``path``, written there as Arrow IPC with one
+    record batch per seq-id range ``[bounds[k], bounds[k + 1])`` (empty
+    ones included) and ``key`` in the schema metadata. Its winners are
+    batch ``p`` of every ``offsets`` file (memory-mapped), shifted by
+    that range's base in ``bases``. The file appears whole, by rename
+    from a temp name."""
     import uuid
 
     import numpy as np
 
-    ids, starts = offsets
+    ids, starts = [], []
+    for f, base in zip(offsets, bases):
+        with pa.memory_map(f) as src:
+            b = pa.ipc.open_file(src).get_batch(p)
+        ids.append(b["doc_id"].to_numpy())
+        starts.append(b["tok_start"].to_numpy() + base)
+    ids, starts = np.concatenate(ids), np.concatenate(starts)
+    by_id = np.argsort(ids)
     part = os.path.dirname(path)
     docs = ok_docs(
         pq.read_table(os.path.join(part, "extracted.parquet"), columns=_TEXT_COLUMNS)
     )
-    seg = _winner_segments(ids, starts, docs, budget)
+    seg = _winner_segments(ids[by_id], starts[by_id], docs, budget)
     k = np.searchsorted(bounds, seg["seq_id"].to_numpy(), side="right") - 1
     order = np.argsort(k, kind="stable")
     schema = seg.schema.with_metadata({_KEY_FIELD: key.encode()})
@@ -428,15 +506,12 @@ def _write_segments(path: str, offsets, budget: int, bounds, key: str) -> None:
 
 
 def _write_shard(staging: str, k: int, paths: list[str], key: str, *maps) -> str:
-    """Reduce task of the below-limit egress: assemble seq-id range ``k``
-    from batch ``k`` of every partition's segments file (memory-mapped;
-    ``maps`` are the map tasks that rewrite some of them, run first) and
-    write ``shard-{k:05d}.parquet`` into the run's staging dir. Returns
-    the file name. A file under another packing key raises instead of
-    reaching a shard. The shard appears whole, by rename, so two attempts
-    of one task never leave a torn file; once the driver has committed
-    the run and removed the staging dir, a late attempt fails instead of
-    writing."""
+    """Reduce task of the egress: assemble seq-id range ``k`` from batch
+    ``k`` of every partition's segments file (memory-mapped; ``maps``, the
+    map tasks that rewrite some, run first; a file under another packing
+    key raises) and write ``shard-{k:05d}.parquet`` into the run's staging
+    dir, by rename, so two attempts never leave a torn file and a late one
+    fails once the driver has removed the dir. Returns the file name."""
     import uuid
 
     batches = []
@@ -461,72 +536,45 @@ def write_training_shards(
     *,
     budget: int = 512,
     n_partitions: int = 32,
-    broadcast_limit: int = 20_000_000,
 ) -> pa.Table:
     """MATERIALIZED training egress — the step after the assignment
     metadata of ``corpus_to_training``: write the actual packed token
     sequences (one row per seq_id: exactly ``budget`` whitespace tokens,
     except the final sequence) as sharded parquet under ``out_dir``.
 
-    Dataflow: extraction runs in CHECKPOINT mode under ``workdir``
-    (resumable; a re-run of a failed shard build skips finished extraction
-    partitions). Each winner's exclusive global token prefix ``tok_start``
-    then comes from one of two plans, chosen from the input row count
-    (parquet footers) before anything runs:
+    Extraction runs in CHECKPOINT mode under ``workdir`` (resumable); each
+    partition keeps its gated (doc_id, md5 key, n_tokens) rows, sorted by
+    key, as ``keys.parquet``. Three waves of checkpoint-mode Ray tasks
+    follow, no Ray Data; partition ``p`` is position ``p`` of the
+    ``_partition_files`` listing in each. R = ceil(input rows /
+    ``_KEYS_PER_RANGE``) range tasks (``_write_offsets``) pack the k0
+    ranges of the md5-key order, and the driver scans their token totals
+    into range bases and cuts the seq ids into ``nb`` = partition count
+    ranges at ``n_seqs * k // nb``. Map tasks (``_write_segments``) write
+    each partition's winner segments to ``part-K/segments.arrow``, one
+    record batch per seq-id range, under a packing key (``packing_key``);
+    a map runs only where that file is missing, unreadable or under
+    another key, so a resume re-segments just the partitions it
+    re-extracted, and new keys, ``budget``, partition count or R rerun
+    them all. One reduce task (``_write_shard``) per non-empty seq-id
+    range writes ``shard-{k:05d}.parquet``, one contiguous ascending range.
 
-    - up to ``broadcast_limit`` input rows, the driver reads the gated
-      (doc_id, md5 key, n_tokens) rows every checkpoint partition wrote
-      next to its texts (``keys.parquet``, ``read_keys``) and packs them
-      as ``prepare_training_ds`` does (``training_offsets``). The egress
-      is then the second stage of checkpoint-mode Ray tasks, no Ray Data:
-      with the offsets it knows n_seqs, so it cuts the seq ids into ``nb``
-      ranges at ``n_seqs * k // nb``, ``nb`` = the checkpoint's partition
-      count. Its map output is a checkpoint product: each partition's
-      winner segments, in ``part-K/segments.arrow`` (Arrow IPC, one
-      record batch per range, empty ones included) under a *packing
-      key*, a hash of the keys table, ``budget``, ``nb`` and the file
-      format (``packing_key``). The driver reads each file's footer and
-      runs a map task only where the file is missing, unreadable or
-      under another key: the task reads the partition's texts once
-      (three columns), slices each winner's segments against the
-      ``ray.put`` (doc_id, tok_start) arrays and writes the file under a
-      temp name, then renames it into place. A re-extracted partition
-      loses its file with its dir, so a resume re-segments exactly the
-      partitions it re-extracted; a change to any partition's keys, to
-      ``budget`` or to the partition count changes the key and reruns
-      every map. One reduce task per non-empty range memory-maps batch
-      k of every partition's file, raises on a file under another key,
-      assembles the range and writes ``shard-{k:05d}.parquet``, one
-      contiguous ascending seq-id range per file. Cold and resumed runs
-      share this one path. Reduces write into a run-unique
-      ``.staging-*`` dir under ``out_dir`` and the driver commits the
-      files by rename and removes the dir, so no task write reaches
-      ``out_dir`` after the commit (the ``sources/ipc.py`` sink's rule);
-    - past the limit, ``prepare_training_ds(emit_offsets=True)`` computes
-      the offsets in its keyed exchanges and a BUCKETED doc_id hash JOIN
-      (one ``keyed_join`` exchange: text payloads hop once into their
-      bucket, offsets probe by searchsorted) brings them to the texts;
-      ``assemble_bucket`` runs in one keyed exchange by seq_id and Ray
-      Data writes the files under its own names.
+    Offsets files and shards go to a run-unique ``.staging-*`` dir under
+    ``out_dir``; the driver commits the shards by rename and removes the
+    dir, so no task write reaches ``out_dir`` after the commit (the
+    ``sources/ipc.py`` sink's rule). A run first removes the
+    ``*.parquet`` files and ``.staging-*`` dirs earlier runs left in
+    ``out_dir`` and the ``part-*/.segments.arrow.*`` temp files of killed
+    maps. Output rows: (seq_id, n_tokens, text). Returns a one-row
+    summary table (n_seqs, n_tokens): token position p lands in sequence
+    p // budget, so n_seqs = ceil(n_tokens / budget).
 
-    Both plans assemble each sequence exactly once from its segments, so
-    the rows are the same. A run first removes the ``*.parquet`` files and
-    stale ``.staging-*`` dirs earlier runs left in ``out_dir``, and the
-    ``part-*/.segments.arrow.*`` temp files of killed map attempts.
-    Output rows: (seq_id, n_tokens, text). Returns a one-row summary
-    table (n_seqs, n_tokens) from the packing itself: token position p
-    lands in sequence p // budget, so n_seqs = ceil(n_tokens / budget).
-
-    SIZE NOTE: the keys land 32 B per gated doc on the driver
-    (doc_id, the md5's two uint64 halves, n_tokens), and the packing
-    peaks at ~90 B per doc with them. Measured on synthetic keys (2%
-    copies, doc ids in ascending runs per block), one core: 10^6 keys
-    pack in 0.15 s and 0.24 GB peak RSS, 2*10^7 (the default limit) in
-    7.5 s and 1.8 GB. The segments product adds about the winners'
-    text to each partition dir (the winner segments of its ok texts,
-    whitespace runs collapsed to one space), next to the extracted
-    texts it comes from.
-    Past the limit nothing row-sized reaches the driver."""
+    SIZE NOTE: the driver holds R (token total, digest) pairs, nothing
+    row-sized, at any corpus size. A range task holds its range's keys,
+    32 B per gated doc and ~90 B at the packing's peak, so
+    ``_KEYS_PER_RANGE`` bounds it near 0.4 GB; it reads every keys file,
+    skipping the row groups of other ranges by their statistics. The
+    segments product adds about the winners' text to each partition dir."""
     import glob
     import shutil
     import tempfile
@@ -535,16 +583,8 @@ def write_training_shards(
 
     import ray
 
-    from ..functions.agg import keyed_exchange, keyed_join, scaled_partitions
-    from ..functions.textops import prepare_training_ds, training_offsets
     from ..sources.pages import count_rows
-    from .extract import (
-        _partition_files,
-        checkpoint_task,
-        read_extracted,
-        read_keys,
-        run_checkpoint,
-    )
+    from .extract import _partition_files, checkpoint_task, run_checkpoint
 
     run_checkpoint(
         input_path,
@@ -565,33 +605,29 @@ def write_training_shards(
     for p in glob.glob(f"{workdir}/part-*/.{_SEGMENTS}.*"):
         os.remove(p)
 
-    def summary(total: int) -> pa.Table:
-        return pa.table(
-            {
-                "n_seqs": pa.array([-(-total // budget)], pa.int64()),
-                "n_tokens": pa.array([total], pa.int64()),
-            }
-        )
-
-    n_rows = count_rows(input_path)
-    if n_rows <= broadcast_limit:
-        keys = read_keys(workdir)
-        if keys.num_rows == 0:
-            return summary(0)
-        ids, starts, total = training_offsets(keys)
-        paths = _partition_files(workdir, _SEGMENTS)
-        nb, n_seqs = len(paths), -(-total // budget)
-        bounds = np.array([n_seqs * k // nb for k in range(nb + 1)], np.int64)
-        key = packing_key(keys, budget, nb)
-        stale = [p for p in paths if _segments_key(p) != key]
-        maps = []
-        if stale:
-            ref = ray.put((ids, starts))
+    keys = _partition_files(workdir, "keys.parquet")
+    paths = [os.path.join(os.path.dirname(p), _SEGMENTS) for p in keys]
+    n_ranges = max(1, -(-count_rows(input_path) // _KEYS_PER_RANGE))
+    nb, total = len(paths), 0
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        pack = checkpoint_task(_write_offsets)
+        ranges = ray.get([pack.remote(staging, r, n_ranges, keys) for r in range(n_ranges)])
+        totals = np.array([t for t, _ in ranges], np.int64)
+        total = int(totals.sum())
+        if total:
+            n_seqs = -(-total // budget)
+            bounds = np.array([n_seqs * k // nb for k in range(nb + 1)], np.int64)
+            key = packing_key([d for _, d in ranges], budget, nb)
+            offsets = [os.path.join(staging, f"offsets-{r}.arrow") for r in range(n_ranges)]
+            bases = np.cumsum(totals) - totals
             segment = checkpoint_task(_write_segments)
-            maps = [segment.remote(p, ref, budget, bounds, key) for p in stale]
-        write = checkpoint_task(_write_shard)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
-        try:
+            maps = [
+                segment.remote(path, p, offsets, bases, budget, bounds, key)
+                for p, path in enumerate(paths)
+                if _segments_key(path) != key
+            ]
+            write = checkpoint_task(_write_shard)
             names = ray.get(
                 [
                     write.remote(staging, k, paths, key, *maps)
@@ -601,46 +637,9 @@ def write_training_shards(
             )
             for name in names:
                 os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        return summary(total)
-
-    # SIZE NOTE (100 TB posture): this materialize holds one (doc_id,
-    # tok_start, n_tokens) int64 triple per WINNER doc — 24 B/row of
-    # distributed, spillable object-store residency; the driver only
-    # sees the row count and the token total
-    docs = read_extracted(workdir, _TEXT_COLUMNS).map_batches(
-        ok_docs, batch_format="pyarrow"
-    )
-    meta_ds = prepare_training_ds(
-        docs, n_rows, budget=budget, emit_offsets=True
-    ).select_columns(["doc_id", "tok_start", "n_tokens"]).materialize()
-    n_meta = meta_ds.count()
-    if n_meta == 0:
-        return summary(0)
-    total = int(meta_ds.sum("n_tokens"))
-
-    # scale path: bucketed join on doc_id — offsets and text payloads
-    # meet in their hash bucket, one exchange
-    def join_segments(meta: pa.Table, d: pa.Table) -> pa.Table:
-        if d.num_rows == 0:  # a bucket of offsets only
-            return _segments_table(pa.array([], pa.string()), [], budget)
-        m = meta.sort_by([("doc_id", "ascending")])
-        return _winner_segments(
-            m["doc_id"].to_numpy(zero_copy_only=False),
-            m["tok_start"].to_numpy(zero_copy_only=False),
-            d,
-            budget,
-        )
-
-    seg_ds = keyed_join(
-        meta_ds, docs, ["doc_id"], ["doc_id"], join_segments,
-        n_parts=scaled_partitions(n_meta),
-    )
-    keyed_exchange(
-        seg_ds, ["seq_id"], assemble_bucket, scaled_partitions(n_meta)
-    ).write_parquet(out_dir)
-    return summary(total)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return pa.table({"n_seqs": [-(-total // budget)], "n_tokens": [total]})
 
 
 def checkpointed_training(

@@ -43,6 +43,34 @@ def test_resume_skips_completed_partitions(ray_session, small_corpus, tmp_path):
     assert resumed["extracted_text"].to_pylist() == golden["extracted_text"].to_pylist()
 
 
+def test_killed_attempt_dirs_are_removed(ray_session, small_corpus, tmp_path):
+    """The ``_tmp-*`` and ``_stale-*`` dirs a killed partition attempt leaves
+    in the output dir (``write_partition_atomic`` removes them only when
+    the attempt lives to see its exception) are removed by the next run,
+    whose outputs equal a clean run's."""
+    from pdf_extractor_ray.pipelines.extract import run_checkpoint
+
+    out, clean = tmp_path / "out", str(tmp_path / "clean")
+    run_checkpoint(small_corpus["corpus"], str(out), n_partitions=4, resume=False)
+    shutil.rmtree(out / "part-1")
+    killed = [out / "_tmp-1-0badc0de", out / "_stale-2-0badc0de"]
+    for d in killed:
+        d.mkdir()
+        pq.write_table(pa.table({"url": ["u"] * 100}), str(d / "extracted.parquet"))
+        f = d / "extracted.parquet"
+        f.write_bytes(f.read_bytes()[: f.stat().st_size // 2])
+    m = run_checkpoint(small_corpus["corpus"], str(out), n_partitions=4, resume=True)
+    assert m["partition_id"].to_pylist() == [1]
+    assert not any(d.exists() for d in killed)
+    assert [n for n in os.listdir(out) if n.startswith("_")] == []
+
+    run_checkpoint(small_corpus["corpus"], clean, n_partitions=4, resume=False)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(clean))
+    assert _read_all(str(out)).drop_columns(["latency_ms"]).equals(
+        _read_all(clean).drop_columns(["latency_ms"])
+    )
+
+
 def test_resume_noop_when_complete(ray_session, small_corpus, tmp_path):
     from pdf_extractor_ray.pipelines.extract import run_checkpoint
 

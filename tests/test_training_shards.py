@@ -44,15 +44,26 @@ def _long_text(seed: int) -> str:
     return " ".join(rng.choice(_WORDS) for _ in range(60))
 
 
-def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path):
-    import ray
+def _set_ranges(monkeypatch, pages, n_ranges: int) -> None:
+    """Make ``write_training_shards`` over ``pages`` pack in ``n_ranges`` k0
+    ranges, by ``_KEYS_PER_RANGE``."""
+    from pdf_extractor_ray.pipelines import webpages
+    from pdf_extractor_ray.sources.pages import count_rows
 
+    n = count_rows(str(pages))
+    per = -(-n // n_ranges)
+    assert -(-n // per) == n_ranges
+    monkeypatch.setattr(webpages, "_KEYS_PER_RANGE", per)
+
+
+def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path, monkeypatch):
     from pdf_extractor_ray.pipelines.webpages import (
         checkpointed_training,
         write_training_shards,
     )
 
     budget = 64
+    _set_ranges(monkeypatch, small_corpus["corpus"], 1)
     summary = write_training_shards(
         small_corpus["corpus"],
         str(tmp_path / "work"),
@@ -60,23 +71,16 @@ def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path):
         budget=budget,
         n_partitions=4,
     )
-    # the bucketed-join scale path (forced) must produce byte-identical
-    # shards to the broadcast path
+    # packing in three k0 ranges must produce byte-identical shards
+    _set_ranges(monkeypatch, small_corpus["corpus"], 3)
     write_training_shards(
         small_corpus["corpus"],
         str(tmp_path / "work"),
-        str(tmp_path / "shards_join"),
+        str(tmp_path / "shards3"),
         budget=budget,
         n_partitions=4,
-        broadcast_limit=0,
     )
-    a = pa.concat_tables(
-        [pq.read_table(f) for f in glob.glob(str(tmp_path / "shards" / "*.parquet"))]
-    ).sort_by([("seq_id", "ascending")])
-    b = pa.concat_tables(
-        [pq.read_table(f) for f in glob.glob(str(tmp_path / "shards_join" / "*.parquet"))]
-    ).sort_by([("seq_id", "ascending")])
-    assert a.equals(b)
+    assert _shard_bytes(tmp_path / "shards") == _shard_bytes(tmp_path / "shards3")
     shard_files = glob.glob(str(tmp_path / "shards" / "*.parquet"))
     assert shard_files
     seqs = (
@@ -120,16 +124,17 @@ def test_training_shards_exact_stream(ray_session, small_corpus, tmp_path):
     assert got == expected
 
 
-@pytest.mark.parametrize("broadcast_limit", [20_000_000, 0])
+@pytest.mark.parametrize("n_ranges", [1, 3])
 def test_rerun_without_winners_clears_stale_shards(
-    ray_session, small_corpus, tmp_path, broadcast_limit
+    ray_session, small_corpus, tmp_path, monkeypatch, n_ranges
 ):
     """A rerun into the same out_dir whose input yields no winner leaves no
     shard of the earlier run behind its zero summary."""
     from pdf_extractor_ray.pipelines.webpages import write_training_shards
 
     out = tmp_path / "shards"
-    kw = dict(budget=64, n_partitions=4, broadcast_limit=broadcast_limit)
+    kw = dict(budget=64, n_partitions=4)
+    _set_ranges(monkeypatch, small_corpus["corpus"], n_ranges)
     write_training_shards(
         small_corpus["corpus"], str(tmp_path / "work"), str(out), **kw
     )
@@ -137,6 +142,7 @@ def test_rerun_without_winners_clears_stale_shards(
 
     # every doc is far below the quality gate's 100 characters
     _write_pages(tmp_path / "short", [["tiny page"], ["another tiny page", "short"]])
+    _set_ranges(monkeypatch, tmp_path / "short", n_ranges)
     summary = write_training_shards(
         str(tmp_path / "short"), str(tmp_path / "work2"), str(out), **kw
     )
@@ -144,10 +150,10 @@ def test_rerun_without_winners_clears_stale_shards(
     assert glob.glob(str(out / "*.parquet")) == []
 
 
-def test_duplicate_texts_pack_once_at_lowest_doc_id(ray_session, tmp_path):
+def test_duplicate_texts_pack_once_at_lowest_doc_id(ray_session, tmp_path, monkeypatch):
     """Identical texts under different urls, across checkpoint partitions
-    and within one: both plans pack each text once, at its lowest doc_id,
-    in checkpointed_training's order."""
+    and within one: one k0 range or three, each text packs once, at its
+    lowest doc_id, in checkpointed_training's order."""
     from pdf_extractor_ray.pipelines.webpages import (
         checkpointed_training,
         write_training_shards,
@@ -164,10 +170,11 @@ def test_duplicate_texts_pack_once_at_lowest_doc_id(ray_session, tmp_path):
     _write_pages(tmp_path / "pages", shards)
     pages, work, budget = str(tmp_path / "pages"), str(tmp_path / "work"), 16
     plans = []
-    for limit in (20_000_000, 0):
-        out = tmp_path / f"shards-{limit}"
+    for n_ranges in (1, 3):
+        _set_ranges(monkeypatch, pages, n_ranges)
+        out = tmp_path / f"shards-{n_ranges}"
         summary = write_training_shards(
-            pages, work, str(out), budget=budget, n_partitions=4, broadcast_limit=limit
+            pages, work, str(out), budget=budget, n_partitions=4
         )
         seqs = _read_shards(out)
         assert summary["n_seqs"][0].as_py() == seqs.num_rows
@@ -204,10 +211,12 @@ def test_duplicate_texts_pack_once_at_lowest_doc_id(ray_session, tmp_path):
     assert got == expected
 
 
-def test_training_offsets_match_bucketed_packing():
+def test_training_offsets_match_bucketed_packing(tmp_path):
     """``training_offsets`` (one sort) packs as ``prepare_training_ds``'
     md5-prefix buckets do, copies and 64-bit k0 collisions included: each
-    (k0, k1) once, at its lowest doc_id, in md5 hex order."""
+    (k0, k1) once, at its lowest doc_id, in md5 hex order. So does
+    ``range_offsets`` over R k0 ranges of partition tables, each range's
+    offsets shifted by the totals of the ranges before."""
     import numpy as np
 
     from pdf_extractor_ray.functions.agg import range_bucket
@@ -216,6 +225,7 @@ def test_training_offsets_match_bucketed_packing():
         first_per_key,
         training_offsets,
     )
+    from pdf_extractor_ray.pipelines.webpages import range_offsets
 
     rng = np.random.default_rng(5)
     n = 3000
@@ -253,6 +263,28 @@ def test_training_offsets_match_bucketed_packing():
         g = keys.filter(pa.array(pp == b))
         packed.extend(g["doc_id"].to_numpy()[first_per_key(g)].tolist())
     assert packed == ref_ids
+
+    # the egress' range tasks over keys files of 64-row groups: copies and
+    # colliding k0 across files (rows 0-299 span the first two), one file
+    # in key order
+    parts = [full.slice(0, 150), full.slice(150, 1550), full.slice(1700)]
+    parts[2] = parts[2].sort_by([("k0", "ascending"), ("k1", "ascending")])
+    paths = [str(tmp_path / f"keys-{p}.parquet") for p in range(3)]
+    for t, path in zip(parts, paths):
+        pq.write_table(t, path, row_group_size=64)
+    for n_ranges in (1, 3, 7):
+        base, got = 0, [[] for _ in parts]
+        for r in range(n_ranges):
+            offsets, total, _ = range_offsets(paths, r, n_ranges)
+            for p, (pid, pstart) in enumerate(offsets):
+                assert pid.tolist() == sorted(pid.tolist())
+                got[p].extend(zip(pid.tolist(), (pstart + base).tolist()))
+            base += total
+        assert base == pos
+        for p, t in enumerate(parts):
+            mine = set(t["doc_id"].to_pylist())
+            want = [(d, s) for d, s in zip(got_ids.tolist(), got_starts.tolist()) if d in mine]
+            assert sorted(got[p]) == want
 
 
 _WS_SPLIT = r"[ \t\n\r\f\v]+"
@@ -329,7 +361,10 @@ def test_keys_product_and_stale_partition_resume(ray_session, small_corpus, tmp_
     assert len(parts) == 4
     for part in parts:
         ext = pq.read_table(part / "extracted.parquet")
-        assert pq.read_table(part / "keys.parquet").equals(training_keys(ok_docs(ext)))
+        want = training_keys(ok_docs(ext)).sort_by(
+            [("k0", "ascending"), ("k1", "ascending"), ("doc_id", "ascending")]
+        )
+        assert pq.read_table(part / "keys.parquet").equals(want)
 
     def stamps():
         return [os.stat(p / "_MANIFEST.json").st_mtime_ns for p in parts]
@@ -390,12 +425,13 @@ def write_training_shards_of(pages, work, out, **kw) -> pa.Table:
     return write_training_shards(str(pages), str(work), str(out), **kw)
 
 
-def test_range_shards_are_deterministic(ray_session, small_corpus, tmp_path):
-    """Below the broadcast limit, two runs over one checkpoint into fresh
-    dirs write the same ``shard-K`` names with the same bytes, each file
-    one contiguous ascending seq-id range, and the rows equal the
-    distributed plan's."""
+def test_range_shards_are_deterministic(ray_session, small_corpus, tmp_path, monkeypatch):
+    """Two runs over one checkpoint into fresh dirs write the same
+    ``shard-K`` names with the same bytes, each file one contiguous
+    ascending seq-id range, and packing in three k0 ranges writes them
+    too."""
     work, kw = str(tmp_path / "work"), dict(budget=64, n_partitions=4)
+    _set_ranges(monkeypatch, small_corpus["corpus"], 1)
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -405,10 +441,9 @@ def test_range_shards_are_deterministic(ray_session, small_corpus, tmp_path):
         runs.append({p.name: p.read_bytes() for p in out.glob("*.parquet")})
     assert runs[0] == runs[1]
     assert 1 < len(runs[0]) <= 4
-    write_training_shards_of(
-        small_corpus["corpus"], work, tmp_path / "dist", broadcast_limit=0, **kw
-    )
-    assert _read_shards(tmp_path / "a").equals(_read_shards(tmp_path / "dist"))
+    _set_ranges(monkeypatch, small_corpus["corpus"], 3)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "r3", **kw)
+    assert _shard_bytes(tmp_path / "r3") == runs[0]
 
 
 def test_one_partition_writes_one_range(ray_session, small_corpus, tmp_path):
@@ -426,24 +461,24 @@ def test_one_partition_writes_one_range(ray_session, small_corpus, tmp_path):
     assert _read_shards(tmp_path / "one").equals(_read_shards(tmp_path / "four"))
 
 
-def test_partitions_without_winners(ray_session, tmp_path):
+def test_partitions_without_winners(ray_session, tmp_path, monkeypatch):
     """A partition whose ok texts all lose to copies in an earlier one, and
-    a partition with no ok row, add nothing to the stream; both plans
-    agree."""
+    a partition with no ok row, add nothing to the stream, in one k0 range
+    or three."""
     a, b = _long_text(30), _long_text(31)
     _write_pages(
         tmp_path / "pages",
         [[a, _long_text(32)], [b, a], [a, b], ["tiny page"]],
     )
     plans = []
-    for limit in (20_000_000, 0):
-        out = tmp_path / f"shards-{limit}"
+    for n_ranges in (1, 3):
+        _set_ranges(monkeypatch, tmp_path / "pages", n_ranges)
+        out = tmp_path / f"shards-{n_ranges}"
         summary = write_training_shards_of(
-            tmp_path / "pages", tmp_path / "work", out,
-            budget=16, n_partitions=4, broadcast_limit=limit,
+            tmp_path / "pages", tmp_path / "work", out, budget=16, n_partitions=4
         )
+        _assert_range_shards(out, summary["n_seqs"][0].as_py())
         plans.append(_read_shards(out))
-    _assert_range_shards(tmp_path / "shards-20000000", summary["n_seqs"][0].as_py())
     assert plans[0].equals(plans[1])
     got: list[str] = []
     for t in plans[0]["text"].to_pylist():
@@ -453,13 +488,15 @@ def test_partitions_without_winners(ray_session, tmp_path):
     assert sorted(got) == sorted(winners.split(" "))
 
 
-def test_fewer_sequences_than_partitions(ray_session, tmp_path):
+def test_fewer_sequences_than_partitions(ray_session, tmp_path, monkeypatch):
     """``n_seqs < nb``: empty seq-id ranges run no reduce and write no
-    file."""
+    file, in one k0 range or in four (four input rows cannot make
+    three)."""
     _write_pages(
         tmp_path / "pages", [[_long_text(40)], [_long_text(41)], [_long_text(42)], [_long_text(43)]]
     )
     kw = dict(budget=100, n_partitions=4)  # 4 docs x 61 tokens: 3 sequences
+    _set_ranges(monkeypatch, tmp_path / "pages", 1)
     summary = write_training_shards_of(tmp_path / "pages", tmp_path / "work", tmp_path / "out", **kw)
     assert summary.to_pylist() == [{"n_seqs": 3, "n_tokens": 244}]
     # bounds 3k // 4: [0, 0, 1, 2, 3] -> range 0 is empty
@@ -468,10 +505,9 @@ def test_fewer_sequences_than_partitions(ray_session, tmp_path):
         ("shard-00002.parquet", [1]),
         ("shard-00003.parquet", [2]),
     ]
-    write_training_shards_of(
-        tmp_path / "pages", tmp_path / "work", tmp_path / "dist", broadcast_limit=0, **kw
-    )
-    assert _read_shards(tmp_path / "out").equals(_read_shards(tmp_path / "dist"))
+    _set_ranges(monkeypatch, tmp_path / "pages", 4)
+    write_training_shards_of(tmp_path / "pages", tmp_path / "work", tmp_path / "r4", **kw)
+    assert _shard_bytes(tmp_path / "out") == _shard_bytes(tmp_path / "r4")
 
 
 def test_late_shard_write_cannot_reach_commit(ray_session, small_corpus, tmp_path, monkeypatch):
@@ -545,16 +581,20 @@ def test_lost_partition_resegments_alone(ray_session, small_corpus, tmp_path):
     import shutil
 
     from pdf_extractor_ray.functions.textops import training_offsets
-    from pdf_extractor_ray.pipelines.extract import read_keys
-    from pdf_extractor_ray.pipelines.webpages import _winner_segments, packing_key
+    from pdf_extractor_ray.pipelines.extract import _partition_files
+    from pdf_extractor_ray.pipelines.webpages import (
+        _winner_segments,
+        packing_key,
+        range_offsets,
+    )
 
     work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
     write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
     before = _segment_stamps(work)
     assert sorted(before) == [f"part-{k}" for k in range(4)]
-    keys = read_keys(str(work))
-    key = packing_key(keys, 64, 4)
-    ids, starts, _ = training_offsets(keys)
+    keys = _partition_files(str(work), "keys.parquet")
+    key = packing_key([range_offsets(keys, 0, 1)[2]], 64, 4)
+    ids, starts, _ = training_offsets(pa.concat_tables([pq.read_table(p) for p in keys]))
     for p in _segments_files(work):
         f = pa.ipc.open_file(pa.memory_map(str(p)))
         assert f.schema.metadata[b"packing_key"] == key.encode()
@@ -680,4 +720,72 @@ def test_torn_partition_file_reextracts_alone(ray_session, small_corpus, tmp_pat
     write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
     assert [a != b for a, b in zip(before, stamps())] == [False, False, False, True]
     assert pq.read_schema(torn).names
+    assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
+
+
+def test_twelve_partitions_pack_as_four(ray_session, tmp_path, monkeypatch):
+    """Twelve checkpoint partitions (``part-10`` lists before ``part-2``, and
+    every wave indexes partitions by that listing) in three k0 ranges give
+    the rows four partitions give in one."""
+    from pdf_extractor_ray.pipelines.extract import _partition_files
+
+    _write_pages(tmp_path / "pages", [[_long_text(60 + 3 * k + j) for j in range(3)] for k in range(12)])
+    pages, kw = tmp_path / "pages", dict(budget=32)
+    _set_ranges(monkeypatch, pages, 3)
+    twelve = write_training_shards_of(pages, tmp_path / "w12", tmp_path / "o12", n_partitions=12, **kw)
+    listed = [p.split("/")[-2] for p in _partition_files(str(tmp_path / "w12"), "keys.parquet")]
+    assert listed.index("part-10") < listed.index("part-2")
+    _assert_range_shards(tmp_path / "o12", twelve["n_seqs"][0].as_py())
+    _set_ranges(monkeypatch, pages, 1)
+    four = write_training_shards_of(pages, tmp_path / "w4", tmp_path / "o4", n_partitions=4, **kw)
+    assert twelve.equals(four)
+    assert _read_shards(tmp_path / "o12").equals(_read_shards(tmp_path / "o4"))
+
+
+def test_keys_in_doc_id_order_pack_the_same(ray_session, small_corpus, tmp_path, monkeypatch):
+    """A checkpoint whose ``keys.parquet`` files list rows by doc_id, in
+    small row groups (as written before they were sorted by key), resumes
+    without re-extraction and packs to the same shards in three k0
+    ranges: the row-group statistics skip nothing, the row filter keeps
+    each range exact."""
+    import os
+
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    _set_ranges(monkeypatch, small_corpus["corpus"], 1)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
+    parts = sorted(work.glob("part-*"))
+    for part in parts:
+        keys = pq.read_table(part / "keys.parquet").sort_by("doc_id")
+        pq.write_table(keys, str(part / "keys.parquet"), row_group_size=8)
+    before = [os.stat(p / "_MANIFEST.json").st_mtime_ns for p in parts]
+    _set_ranges(monkeypatch, small_corpus["corpus"], 3)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
+    assert [os.stat(p / "_MANIFEST.json").st_mtime_ns for p in parts] == before
+    for part in parts:
+        ids = pq.read_table(part / "keys.parquet")["doc_id"].to_pylist()
+        assert ids == sorted(ids)
+    assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
+
+
+def test_driver_reads_no_keys_texts_or_offsets(ray_session, small_corpus, tmp_path, monkeypatch):
+    """The driver reads no ``keys.parquet``, ``extracted.parquet`` or
+    ``offsets-*`` file: with its ``pq.read_table`` raising on them, a
+    resumed call in three k0 ranges still writes the cold run's shards."""
+    import os
+
+    work, kw = tmp_path / "work", dict(budget=64, n_partitions=4)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "a", **kw)
+    read_table = pq.read_table
+
+    def guarded(source, *args, **kwargs):
+        name = os.path.basename(str(source))
+        if name in ("keys.parquet", "extracted.parquet") or name.startswith("offsets-"):
+            raise AssertionError(f"the driver read {source}")
+        return read_table(source, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", guarded)
+    _set_ranges(monkeypatch, small_corpus["corpus"], 3)
+    write_training_shards_of(small_corpus["corpus"], work, tmp_path / "b", **kw)
+    with pytest.raises(AssertionError, match="the driver read"):
+        pq.read_table(str(work / "part-0" / "keys.parquet"))
     assert _shard_bytes(tmp_path / "a") == _shard_bytes(tmp_path / "b")
