@@ -2886,6 +2886,8 @@ def trade_components(sf_dir: str, min_qty: int = 50, max_iters: int = 64) -> pa.
     import numpy as np
     import ray
 
+    from . import cc
+
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_quantity"])
 
@@ -2919,7 +2921,7 @@ def trade_components(sf_dir: str, min_qty: int = 50, max_iters: int = 64) -> pa.
     lab_c = custs.copy()  # min customer key reachable; suppliers start at +inf
     lab_s = np.full(len(supps), np.iinfo(np.int64).max, dtype=np.int64)
 
-    if n_edges <= 2_000_000:
+    if n_edges <= cc._LOCAL_EDGE_LIMIT:
         # small deduped edge list: run the bipartite min-label rounds
         # driver-local (pure numpy) instead of a Ray stage launch per
         # round — same fixpoint, same fail-loud convergence guard (see

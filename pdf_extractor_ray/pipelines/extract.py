@@ -16,8 +16,9 @@ extracted row batches:
 The payload-bearing dataflow is **shuffle-free**: dedup is decided from a
 16-byte-per-row key scan plus a broadcast index of the duplicated urls
 (measured: a payload all-to-all for dedup cost 6-8x the entire rest of the
-pipeline at sf0.1; see stages/dedup.py for the scale argument and its
-documented limits).
+pipeline at sf0.1). ``build_dup_index`` builds that index before the
+partitions run, as a keys-only map/reduce of raw Ray tasks (see
+stages/dedup.py for the scale argument and its limits).
 
 Two drivers run that body, and give the same rows, ``doc_id`` and
 ``partition_id`` included:
@@ -38,7 +39,11 @@ Two drivers run that body, and give the same rows, ``doc_id`` and
   keys pass sees whole shards.
 
 Scale notes (100 TB): no stage materializes the corpus; the only global
-state is the duplicated-url index (small by assumption, asserted). Skew:
+state is the duplicated-url index. The driver reads only parquet footers
+and holds that index; a dup-index map or reduce task holds about
+``stages.dedup._KEYS_PER_TASK`` key rows, and every partition task reads
+the whole index, which grows with the duplicated urls (nothing checks
+that it fits a worker). Skew:
 oversized documents are parsed page-wise inside the kernel and partitions
 are ~equal input-shard counts; 4x more partitions than cluster cores keeps
 stragglers rebalancing. The url-hash ``partition_id`` column
@@ -569,6 +574,8 @@ def run_checkpoint(
             ) is not None:
                 kept.add(pid)
         skip = frozenset(kept)
+    if len(skip) == len(groups):  # nothing to run: no dup index either
+        return pa.table({"partition_id": pa.array([], pa.int32())})
     dup_index = build_dup_index(input_path)
     dup_ref = ray.put(dup_index)  # broadcast once, read zero-copy per task
     worker = checkpoint_task(process_partition)
@@ -584,12 +591,7 @@ def run_checkpoint(
         for pid, files in enumerate(groups)
         if pid not in skip
     ]
-    tables = [t for t in ray.get(futures) if t.num_rows]
-    return (
-        pa.concat_tables(tables)
-        if tables
-        else pa.table({"partition_id": pa.array([], pa.int32())})
-    )
+    return pa.concat_tables(ray.get(futures))
 
 
 def _partition_files(output_dir: str, name: str) -> list[str]:

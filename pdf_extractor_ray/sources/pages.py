@@ -86,57 +86,6 @@ def doc_ids(shard: int, row_off: int, n: int) -> pa.Array:
     )
 
 
-def read_pages_with_ids(
-    input_path: str, columns: list[str] | None = None
-) -> rd.Dataset:
-    """Column-pruned read that adds the read-time ``doc_id`` (``doc_ids``)
-    and the source shard as a ``path`` column — the row provenance the
-    dup index's tie pass needs. Deterministic across runs, collision-free
-    by construction at any corpus size (no birthday bound), and assigned
-    at the scan so no downstream stage ever hashes a string to identify
-    a row.
-
-    Shape: shard metadata fans out as (shard, row-group) descriptors; each
-    task reads its row groups with pruned columns — the same
-    one-task-per-row-group-range parallelism ``read_parquet`` plans, plus
-    the id and path columns."""
-    import pyarrow.parquet as pq
-
-    items = []
-    for si, path in enumerate(list_shards(input_path)):
-        md = pq.read_metadata(path)
-        off = 0
-        for rg in range(md.num_row_groups):
-            items.append(
-                {"shard": si, "path": path, "rg": rg, "row_off": off}
-            )
-            off += md.row_group(rg).num_rows
-    cols = columns or EXTRACT_COLUMNS
-
-    def read_frag(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq  # worker-side
-
-        tabs = []
-        for shard, path, rg, row_off in zip(
-            batch["shard"].to_pylist(),
-            batch["path"].to_pylist(),
-            batch["rg"].to_pylist(),
-            batch["row_off"].to_pylist(),
-        ):
-            t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
-            t = t.append_column("doc_id", doc_ids(shard, row_off, t.num_rows))
-            t = t.append_column(
-                "path", pa.array([path] * t.num_rows, pa.string())
-            )
-            tabs.append(t)
-        return pa.concat_tables(tabs)
-
-    # a handful of row groups per task keeps task count ~= read_parquet's
-    return rd.from_items(items).map_batches(
-        read_frag, batch_size=4, batch_format="pyarrow"
-    )
-
-
 def list_shards(input_path: str) -> list[str]:
     """Canonical shard listing: sorted top-level *.parquet files of a dir,
     or the single file itself. Shared by grouping, key scans and metadata

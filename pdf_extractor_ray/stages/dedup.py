@@ -9,20 +9,26 @@ Scale design — dedup WITHOUT moving payloads. A classic exact dedup
 co-locates full rows by url hash (an all-to-all over the payload bytes;
 measured locally it dominated the whole pipeline). Instead:
 
-1. **Key scan**: a second column-pruned read of only (url, warc_ts) —
+1. **Key scan**: a column-pruned read of only (url, warc_ts) —
    16-ish bytes/row leaving storage instead of the multi-KB payload.
-2. **Dup index**: per-batch partial (url -> count, min_ts), combined into
-   the set of *duplicated* urls and each one's winning warc_ts. With a
-   realistic ~1% duplicate rate this index is tiny relative to the corpus.
+2. **Dup index** (``build_dup_index``): one map/reduce of raw Ray tasks
+   at every corpus size, R = ceil(input rows / ``_KEYS_PER_TASK``). Each
+   of at most R map tasks reads the keys of one contiguous shard group
+   once and hash-splits them into R url ranges; each range's reduce task
+   (at R = 1, the one map) keeps the urls seen more than once, with the
+   winning warc_ts and the tie columns below. The driver concatenates
+   the R slices, which are the index of *duplicated* urls only — tiny
+   relative to the corpus at a realistic ~1% duplicate rate.
 3. **Broadcast filter**: the index is ``ray.put`` once and read by every
    partition task, whose keys pass drops its losers vectorized before any
    payload byte is read.
 
 The payload-bearing pipeline therefore stays shuffle-free end-to-end.
-Assumption (documented, asserted): duplicated-url index fits in worker
-memory. For corpora where duplicates themselves are at object-store scale,
-fall back to hash-partitioned ``dedup_first_wins`` below (the co-locating
-variant used inside per-partition checkpoint tasks).
+Size: a map or reduce task holds about ``_KEYS_PER_TASK`` key rows (one
+map more when a single shard is larger); the driver reads only parquet
+footers and holds the index, whose size follows the duplicated urls, not
+the corpus. Every partition task reads the whole index, so it must fit a
+worker; nothing checks that.
 
 Ties: ``warc_ts`` is a capture timestamp; rows with the same url AND same
 timestamp are the same capture (byte-identical payload by assumption). The
@@ -33,9 +39,10 @@ row) and ``win_row`` (lowest row-in-file among min-ts rows in that shard).
 (win_file, win_row) is a total order over tie rows, so the filter keeps
 exactly one row per url no matter how ties split across batches, shards,
 or partitions — including equal-(url, ts) rows stored twice inside ONE
-file (the pre-round-4 residual). Callers provide provenance as a ``path``
-column plus a ``_row_in_file`` column (the partition keys pass,
-``pipelines.extract._partition_keep_masks``, adds both).
+file (the pre-round-4 residual). When the index holds a tie, callers
+provide provenance as a ``path`` column plus a ``_row_in_file`` column
+(the partition keys pass, ``pipelines.extract._partition_keep_masks``,
+adds both).
 
 Null urls are rejected (``require_urls``) in every keys scan: a row with no
 url has no place in a one-row-per-url contract, so it is malformed input,
@@ -47,8 +54,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray.data as rd
 
 
 def dedup_first_wins(group: pa.Table) -> pa.Table:
@@ -78,28 +83,10 @@ def require_urls(keys: pa.Table, path: str) -> None:
         )
 
 
-def _key_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch (url -> min_ts_us, count) partial of a keys batch read
-    with its ``path`` column; null urls are rejected per shard (the count
-    in the message is the batch's). min_ts rides as int64 microseconds:
-    Ray's native Min aggregate degrades timestamp[us, UTC] to timestamp[s]
-    (silent sub-second truncation)."""
-    if batch["url"].null_count:
-        for path in pc.unique(batch["path"]).to_pylist():
-            require_urls(batch.filter(pc.equal(batch["path"], path)), path)
-    t = batch.group_by(["url"]).aggregate(
-        [("warc_ts", "min"), ("warc_ts", "count")]
-    )
-    return pa.table(
-        {
-            "url": t["url"],
-            "ts_min_us": pc.cast(t["warc_ts_min"], pa.int64()),
-            "cnt": pc.cast(t["warc_ts_count"], pa.int64()),
-        }
-    )
-
-
-_DRIVER_KEY_ROWS = 20_000_000  # keys below this: one multithreaded arrow read
+# the most key rows one map or reduce task of the dup index holds (measured
+# at 60-byte urls: ~300 B per row at a map's or a reduce's peak, input
+# included: ~0.3 GB)
+_KEYS_PER_TASK = 1 << 20
 
 
 def _tie_columns(
@@ -135,121 +122,68 @@ def _tie_columns(
     return n_at_min, win_file, win_row
 
 
-def build_dup_index(input_path: str) -> pa.Table | None:
-    """Keys-only scan -> table (url, min_ts, n_at_min, win_file, win_row) of
-    DUPLICATED urls only. Returns None when the corpus has no duplicate
-    urls (common fast path).
-
-    Two physical paths, chosen from parquet metadata: below
-    ``_DRIVER_KEY_ROWS`` keys, one multithreaded arrow read + group_by on
-    the driver (a Ray Data job here measured 40x slower than the 4 MB of
-    actual work). Above it, the combine runs INSIDE the cluster — per-batch
-    partials, a cluster-side ``groupby(url)``, and a count>1 filter BEFORE
-    collection, so the driver only ever receives the duplicated-url set
-    (mostly-unique key sets previously concat'ed every distinct url on the
-    driver, which does not survive 10^12 rows).
-    """
+def _split_keys(files: list[str], base: int, n_ranges: int):
+    """Map task of the dup index: (url, warc_ts) of the contiguous shard
+    group ``files``, read once, null urls rejected per shard, each row
+    tagged with its global shard index ``fidx`` (``files[0]`` is shard
+    ``base``) and its ``row`` in the file. Returns the rows hash-split by
+    url into ``n_ranges`` tables, one Ray return value each. With one
+    range the group is every shard, and the map returns that range's
+    ``_range_index`` itself: one task, not two, and no keys table
+    through the object store."""
     import pyarrow.parquet as pq
 
-    from ..sources.pages import count_rows, list_shards
+    from ..functions.agg import _hash_partition_column
 
-    files = list_shards(input_path)
-    if count_rows(input_path) <= _DRIVER_KEY_ROWS:
-        # read the exact counted file set (a directory read could include
-        # nested/non-shard files the count did not)
-        tabs = []
-        for fidx, f in enumerate(files):
-            t = pq.read_table(f, columns=["url", "warc_ts"])
-            require_urls(t, f)
-            # 4-byte shard index + 8-byte row-in-file per row (full path
-            # strings materialize only for the tiny duplicated-at-min
-            # subset below); row-in-file makes the tie winner a TOTAL
-            # order even for equal-(url, ts) rows inside one file
-            tabs.append(
-                t.append_column(
-                    "fidx", pa.array(np.full(t.num_rows, fidx, np.int32))
-                ).append_column(
-                    "row", pa.array(np.arange(t.num_rows, dtype=np.int64))
-                )
+    tabs = []
+    for j, f in enumerate(files):
+        with pq.ParquetFile(f) as pf:  # a quarter of read_table's cost here
+            t = pf.read(columns=["url", "warc_ts"])
+        require_urls(t, f)
+        # 4-byte shard index + 8-byte row-in-file per row (full path
+        # strings materialize only for the tiny duplicated-at-min subset
+        # in the reduce); row-in-file makes the tie winner a TOTAL order
+        # even for equal-(url, ts) rows inside one file
+        tabs.append(
+            t.append_column(
+                "fidx", pa.array(np.full(t.num_rows, base + j, np.int32))
+            ).append_column(
+                "row", pa.array(np.arange(t.num_rows, dtype=np.int64))
             )
-        keys_t = pa.concat_tables(tabs).combine_chunks()
-        combined = keys_t.group_by(["url"]).aggregate(
-            [("warc_ts", "min"), ("warc_ts", "count")]
         )
-        dups = combined.filter(pc.greater(combined["warc_ts_count"], 1))
-        if dups.num_rows == 0:
-            return None
-        dup_urls = dups["url"].combine_chunks()
-        rows = keys_t.filter(pc.is_in(keys_t["url"], value_set=dup_urls))
-        ridx = pc.index_in(rows["url"], value_set=dup_urls)
-        row_min = pc.take(dups["warc_ts_min"].combine_chunks(), ridx)
-        at_min = rows.filter(pc.equal(rows["warc_ts"], row_min))
-        at_min = at_min.append_column(
-            "path", pc.take(pa.array(files), at_min["fidx"])
-        )
-        n_at_min, win_file, win_row = _tie_columns(dups, at_min)
-        return pa.table(
-            {
-                "url": dups["url"],
-                "min_ts": dups["warc_ts_min"],
-                "n_at_min": n_at_min,
-                "win_file": win_file,
-                "win_row": win_row,
-            }
-        )
-
-    import ray
-    from ray.data.aggregate import Min, Sum
-
-    from ..functions.agg import collect
-
-    keys = rd.read_parquet(
-        input_path, columns=["url", "warc_ts"], include_paths=True
+    keys = pa.concat_tables(tabs)
+    if n_ranges == 1:  # the one map holds the one range: reduce it here
+        return _range_index(files, keys)
+    # hashed a slice at a time: the hash holds its urls as Python strings
+    r = np.concatenate(
+        [
+            _hash_partition_column(keys.slice(o, 1 << 16), ["url"], n_ranges).to_numpy()
+            for o in range(0, max(keys.num_rows, 1), 1 << 16)
+        ]
     )
-    # surface require_urls' ValueError as itself, as on the driver path,
-    # not wrapped in Ray Data's UserCodeException
-    keys.context.raise_original_map_exception = True
-    partials = keys.map_batches(_key_partial, batch_format="pyarrow")
-    # native aggregate: Ray combines the partials vectorized, no per-group call
-    combined = partials.groupby("url").aggregate(Min("ts_min_us"), Sum("cnt"))
+    order = np.argsort(r, kind="stable")
+    cuts = np.searchsorted(r[order], np.arange(n_ranges + 1))
+    keys = keys.take(order)
+    return tuple(keys.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:]))
 
-    def _only_dups(b: pa.Table) -> pa.Table:
-        return b.filter(pc.greater(b["sum(cnt)"], 1))
 
-    dups = collect(combined.map_batches(_only_dups, batch_format="pyarrow"))
-    if dups is None:
+def _range_index(files: list[str], *parts: pa.Table) -> pa.Table | None:
+    """Reduce task of the dup index: the index rows of one url range from
+    its ``parts``, one per map task (``fidx`` indexes ``files``, the
+    canonical shard listing). None when no url of the range repeats."""
+    keys_t = pa.concat_tables(parts)
+    combined = keys_t.group_by(["url"]).aggregate(
+        [("warc_ts", "min"), ("warc_ts", "count")]
+    )
+    dups = combined.filter(pc.greater(combined["warc_ts_count"], 1))
+    if dups.num_rows == 0:
         return None
-    dups = dups.combine_chunks()
-    dups = pa.table(
-        {
-            "url": dups["url"],
-            "warc_ts_min": pc.cast(
-                dups["min(ts_min_us)"], pa.timestamp("us", tz="UTC")
-            ),
-        }
-    )
-    # tie pass: provenance rows for duplicated urls only (broadcast-filter
-    # semi-join over a keys+path scan; collected set = duplicated rows
-    # only). read_pages_with_ids carries the read-time (shard << 40 | row)
-    # id, whose low bits are the row-in-file the total tie order needs.
-    from ..sources.pages import _SHARD_ID_BITS, read_pages_with_ids
-
     dup_urls = dups["url"].combine_chunks()
-    dup_urls_ref = ray.put(dup_urls)
-    row_mask = (1 << _SHARD_ID_BITS) - 1
-
-    def _dup_rows(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_in(b["url"], value_set=ray.get(dup_urls_ref)))
-        return b.append_column(
-            "row", pc.bit_wise_and(b["doc_id"], row_mask)
-        ).drop_columns(["doc_id"])
-
-    prov = read_pages_with_ids(input_path, columns=["url", "warc_ts"])
-    prov = prov.map_batches(_dup_rows, batch_format="pyarrow")
-    rows = collect(prov).combine_chunks()
+    rows = keys_t.filter(pc.is_in(keys_t["url"], value_set=dup_urls))
     ridx = pc.index_in(rows["url"], value_set=dup_urls)
     row_min = pc.take(dups["warc_ts_min"].combine_chunks(), ridx)
     at_min = rows.filter(pc.equal(rows["warc_ts"], row_min))
+    at_min = at_min.append_column("path", pc.take(pa.array(files), at_min["fidx"]))
     n_at_min, win_file, win_row = _tie_columns(dups, at_min)
     return pa.table(
         {
@@ -262,42 +196,62 @@ def build_dup_index(input_path: str) -> pa.Table | None:
     )
 
 
+def build_dup_index(input_path: str) -> pa.Table | None:
+    """Keys-only scan -> table (url, min_ts, n_at_min, win_file, win_row) of
+    DUPLICATED urls only. Returns None when the corpus has no duplicate
+    urls (common fast path).
+
+    One plan at every size: with R = ceil(input rows / ``_KEYS_PER_TASK``)
+    (footer row counts), one map task (``_split_keys``) per contiguous
+    shard group of ``shard_groups(input_path, R)`` and R reduce tasks
+    (``_range_index``), one per url-hash range, all checkpoint-mode Ray
+    tasks; at R = 1 the one map reduces its range itself. The driver
+    reads no key row; it concatenates the R slices, which are the
+    index."""
+    import ray
+
+    from ..pipelines.extract import _group_bases, checkpoint_task, shard_groups
+    from ..sources.pages import count_rows, list_shards
+
+    files = list_shards(input_path)
+    n = max(1, -(-count_rows(input_path) // _KEYS_PER_TASK))
+    groups = shard_groups(input_path, n)
+    split = checkpoint_task(_split_keys).options(num_returns=n)
+    maps = [split.remote(g, base, n) for g, base in zip(groups, _group_bases(groups))]
+    if n == 1:
+        slices = ray.get(maps)
+    else:
+        reduce = checkpoint_task(_range_index)
+        slices = ray.get([reduce.remote(files, *(m[r] for m in maps)) for r in range(n)])
+    slices = [s for s in slices if s is not None]
+    return pa.concat_tables(slices) if slices else None
+
+
 class DupFilter:
     """Prebuilt broadcast-filter state: the url value-set and aligned
     winner arrays are built ONCE (per actor / per partition task), not per
     batch. The filter itself is fully vectorized (``index_in`` + ``take``
     + numpy first-occurrence); Python never touches non-duplicate rows.
 
-    Tie semantics: rows whose warc_ts equals the winning min_ts survive
-    only if (a) the index marks the url unique-at-min (``n_at_min`` == 1 or
-    tie columns absent), or (b) their provenance ``path`` column equals the
-    url's ``win_file``; a numpy first-occurrence pass then keeps one row
-    per url within the batch. With provenance present this collapses ties
-    globally (see module docstring for the single residual case)."""
+    Takes the five-column index ``build_dup_index`` returns. Tie
+    semantics: rows whose warc_ts equals the winning min_ts survive only
+    if (a) the index marks the url unique-at-min (``n_at_min`` == 1), or
+    (b) their provenance (``path``, ``_row_in_file``) columns equal the
+    url's (``win_file``, ``win_row``), which a batch must carry whenever
+    the index holds a tie (``index_has_ties``); a numpy first-occurrence
+    pass then keeps one row per url within the batch."""
 
     def __init__(self, dup_index: pa.Table):
         self.value_set = dup_index["url"].combine_chunks()
         self.min_ts = dup_index["min_ts"].combine_chunks()
-        if "n_at_min" in dup_index.column_names:
-            self.n_at_min = dup_index["n_at_min"].combine_chunks().to_numpy(
-                zero_copy_only=False
-            )
-            self.win_file = np.asarray(
-                dup_index["win_file"].to_pylist(), dtype=object
-            )
-            self.win_row = (
-                dup_index["win_row"].combine_chunks().to_numpy(
-                    zero_copy_only=False
-                )
-                if "win_row" in dup_index.column_names
-                else None
-            )
-            self.has_ties = bool((self.n_at_min > 1).any())
-        else:  # minimal (url, min_ts) index: batch-local tie collapse only
-            self.n_at_min = None
-            self.win_file = None
-            self.win_row = None
-            self.has_ties = False
+        self.n_at_min = dup_index["n_at_min"].combine_chunks().to_numpy(
+            zero_copy_only=False
+        )
+        self.win_file = np.asarray(dup_index["win_file"].to_pylist(), dtype=object)
+        self.win_row = dup_index["win_row"].combine_chunks().to_numpy(
+            zero_copy_only=False
+        )
+        self.has_ties = bool((self.n_at_min > 1).any())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"]
@@ -324,35 +278,24 @@ class DupFilter:
                 .astype(np.int64)
             )
             ids = idx_np[win_rows]
-            if self.has_ties and "path" in batch.column_names:
+            if self.has_ties:
                 tie_mask = self.n_at_min[ids] > 1
                 if tie_mask.any():
+                    take = pa.array(win_rows)
                     paths = np.asarray(
-                        pc.take(
-                            batch["path"].combine_chunks()
-                            if isinstance(batch["path"], pa.ChunkedArray)
-                            else batch["path"],
-                            pa.array(win_rows),
-                        ).to_pylist(),
-                        dtype=object,
+                        pc.take(batch["path"], take).to_pylist(), dtype=object
                     )
-                    drop = tie_mask & (paths != self.win_file[ids])
-                    if (
-                        self.win_row is not None
-                        and "_row_in_file" in batch.column_names
-                    ):
-                        # read-time row ids make the tie winner a TOTAL
-                        # order: equal-(url, ts) rows inside one file also
-                        # collapse globally, batch boundaries irrelevant
-                        rows_np = (
-                            pc.take(
-                                batch["_row_in_file"].combine_chunks(),
-                                pa.array(win_rows),
-                            )
-                            .to_numpy(zero_copy_only=False)
-                            .astype(np.int64)
-                        )
-                        drop |= tie_mask & (rows_np != self.win_row[ids])
+                    # read-time row ids make the tie winner a TOTAL order:
+                    # equal-(url, ts) rows inside one file also collapse
+                    # globally, batch boundaries irrelevant
+                    rows_np = (
+                        pc.take(batch["_row_in_file"], take)
+                        .to_numpy()
+                        .astype(np.int64)
+                    )
+                    drop = tie_mask & (
+                        (paths != self.win_file[ids]) | (rows_np != self.win_row[ids])
+                    )
                     keep[win_rows[drop]] = False
                     win_rows = np.flatnonzero(keep & hit_np)
                     ids = idx_np[win_rows]
@@ -370,7 +313,6 @@ def index_has_ties(dup_index: pa.Table | None) -> bool:
     timestamp — the only case where the filter needs row provenance."""
     return (
         dup_index is not None
-        and "n_at_min" in dup_index.column_names
         and pc.any(pc.greater(dup_index["n_at_min"], 1)).as_py() is True
     )
 

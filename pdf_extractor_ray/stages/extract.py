@@ -138,7 +138,7 @@ def extract_batch(
         else pa.nulls(n, pa.int32()),
     }
     if "doc_id" in batch.column_names:
-        # read-time id (sources/pages.read_pages_with_ids) rides through
+        # read-time id (sources/pages.doc_ids) rides through
         cols["doc_id"] = batch["doc_id"]
     if emit_pages:
         cols["pages"] = pa.array(pages_col, pa.large_list(pa.large_string()))

@@ -11,14 +11,26 @@ import pyarrow.parquet as pq
 import pytest
 
 
+def _set_tasks(monkeypatch, pages, n_tasks: int) -> None:
+    """Make ``build_dup_index`` over ``pages`` run ``n_tasks`` url ranges,
+    by ``_KEYS_PER_TASK``."""
+    from pdf_extractor_ray.sources.pages import count_rows
+    from pdf_extractor_ray.stages import dedup
+
+    n = count_rows(str(pages))
+    per = -(-n // n_tasks)
+    assert -(-n // per) == n_tasks
+    monkeypatch.setattr(dedup, "_KEYS_PER_TASK", per)
+
+
 def test_dup_index_distributed_path_parity(ray_session, small_corpus, monkeypatch):
-    """The Ray partial-combine branch of build_dup_index must agree with the
-    driver fast path (it is the 10^12-key scale path and is otherwise only
-    exercised in production)."""
+    """build_dup_index in several map and reduce tasks (M = R = 3 over the
+    8 shards) must give the one-task index, row for row."""
     from pdf_extractor_ray.stages import dedup
 
     fast = dedup.build_dup_index(small_corpus["corpus"])
-    monkeypatch.setattr(dedup, "_DRIVER_KEY_ROWS", 0)
+    assert fast is not None
+    _set_tasks(monkeypatch, small_corpus["corpus"], 3)
     dist = dedup.build_dup_index(small_corpus["corpus"])
     assert (fast is None) == (dist is None)
     if fast is not None:
@@ -33,7 +45,9 @@ def test_dup_index_distributed_path_parity(ray_session, small_corpus, monkeypatc
 
 def _tied_pages_dir(tmp_path) -> str:
     """Two shards sharing one url at the SAME warc_ts (identical payload) —
-    the cross-shard tie the synthetic corpus never generates."""
+    the cross-shard tie the synthetic corpus never generates. The winning
+    copy is row 1 of the first shard, the other row 0 of the second, so a
+    copy credited to the wrong shard changes ``win_row``."""
     import datetime as dt
 
     d = tmp_path / "tied_pages"
@@ -55,7 +69,7 @@ def _tied_pages_dir(tmp_path) -> str:
         )
 
     pq.write_table(
-        tab(["http://tie.example/", "http://a.example/"], [t_tie, t_other]),
+        tab(["http://a.example/", "http://tie.example/"], [t_other, t_tie]),
         str(d / "part-00000.parquet"),
     )
     pq.write_table(
@@ -67,8 +81,9 @@ def _tied_pages_dir(tmp_path) -> str:
 
 def test_cross_shard_tie_collapses_globally(ray_session, tmp_path, monkeypatch):
     """Equal-(url, warc_ts) rows in DIFFERENT shards must yield exactly one
-    output row in both physical modes (win_file provenance check), and both
-    dup-index paths must agree on the tie columns."""
+    output row in both physical modes (win_file provenance check), and the
+    dup index in one task and in two maps and four url ranges must agree
+    on the tie columns."""
     from pdf_extractor_ray.pipelines import extract as E
     from pdf_extractor_ray.stages import dedup
 
@@ -78,8 +93,9 @@ def test_cross_shard_tie_collapses_globally(ray_session, tmp_path, monkeypatch):
     assert idx["url"][0].as_py() == "http://tie.example/"
     assert idx["n_at_min"][0].as_py() == 2
     assert idx["win_file"][0].as_py().endswith("part-00000.parquet")
+    assert idx["win_row"][0].as_py() == 1
 
-    monkeypatch.setattr(dedup, "_DRIVER_KEY_ROWS", 0)
+    _set_tasks(monkeypatch, pages, 4)
     dist = dedup.build_dup_index(pages)
     monkeypatch.undo()
     assert dist.sort_by("url").to_pylist() == idx.sort_by("url").to_pylist()
@@ -199,7 +215,13 @@ def test_dup_filter_drops_null_ts_rows():
         }
     )
     idx = pa.table(
-        {"url": pa.array(["u"]), "min_ts": pa.array([100], ts_type)}
+        {
+            "url": pa.array(["u"]),
+            "min_ts": pa.array([100], ts_type),
+            "n_at_min": pa.array([1], pa.int64()),
+            "win_file": pa.array([""]),
+            "win_row": pa.array([-1], pa.int64()),
+        }
     )
     out = DupFilter(idx)(batch)
     assert out["url"].to_pylist() == ["u", "v"]

@@ -18,7 +18,6 @@ ALLOWED = {
     ("functions/relational.py", ("event_type", "user_id"), "aggregate"): "native",
     ("functions/relational.py", ("l_orderkey", "o_orderdate"), "aggregate"): "native",
     ("functions/textops.py", "term", "aggregate"): "native",
-    ("stages/dedup.py", "url", "aggregate"): "native",
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 US_7D = 7 * 24 * 3_600_000_000
 
@@ -211,11 +212,17 @@ def test_orders_events_window_random_bruteforce(ray_session, tmp_path):
         assert got.loc[i, "sum_value_c"] == int(cents[m].sum()), f"order {i} sum"
 
 
-def test_trade_components_planted_graph(ray_session, tmp_path):
+@pytest.mark.parametrize("force_distributed", [False, True])
+def test_trade_components_planted_graph(ray_session, tmp_path, monkeypatch, force_distributed):
     """Known component structure: two chains bridged by shared suppliers,
     an isolated customer, and below-threshold lineitems that must not
-    create edges."""
+    create edges. Both label-propagation plans (driver-local rounds below
+    ``cc._LOCAL_EDGE_LIMIT`` edges, Ray rounds above) give it."""
+    from pdf_extractor_ray.functions import cc
     from pdf_extractor_ray.functions.relational import trade_components
+
+    if force_distributed:
+        monkeypatch.setattr(cc, "_LOCAL_EDGE_LIMIT", 0)
 
     # orders: orderkey -> custkey
     o = [(1, 10), (2, 20), (3, 30), (4, 40)]

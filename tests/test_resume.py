@@ -5,6 +5,7 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
 def _read_all(out_dir: str) -> pa.Table:
@@ -71,13 +72,59 @@ def test_killed_attempt_dirs_are_removed(ray_session, small_corpus, tmp_path):
     )
 
 
-def test_resume_noop_when_complete(ray_session, small_corpus, tmp_path):
-    from pdf_extractor_ray.pipelines.extract import run_checkpoint
+def test_resume_noop_when_complete(ray_session, small_corpus, tmp_path, monkeypatch):
+    """A resume with every partition complete runs nothing and builds no
+    dup index."""
+    from pdf_extractor_ray.pipelines import extract as E
 
     out = str(tmp_path / "out")
-    run_checkpoint(small_corpus["corpus"], out, n_partitions=4, resume=False)
-    m2 = run_checkpoint(small_corpus["corpus"], out, n_partitions=4, resume=True)
+    E.run_checkpoint(small_corpus["corpus"], out, n_partitions=4, resume=False)
+
+    def no_index(input_path):
+        raise AssertionError("a dup index was built with nothing to run")
+
+    monkeypatch.setattr(E, "build_dup_index", no_index)
+    m2 = E.run_checkpoint(small_corpus["corpus"], out, n_partitions=4, resume=True)
     assert m2.num_rows == 0
+    assert m2.column_names == ["partition_id"]
+
+
+def test_driver_reads_no_input_rows(ray_session, small_corpus, tmp_path, monkeypatch):
+    """The driver reads input shard footers, never their rows: with its
+    ``pq.read_table`` raising on the input shards, a cold ``run_checkpoint``,
+    its resume and ``extracted_dataset`` give the rows they give unguarded
+    (the resume and the stream build the dup index in three url ranges)."""
+    from pdf_extractor_ray.functions.agg import collect
+    from pdf_extractor_ray.pipelines import extract as E
+    from pdf_extractor_ray.sources.pages import list_shards
+    from pdf_extractor_ray.stages import dedup
+
+    pages = small_corpus["corpus"]
+    E.run_checkpoint(pages, str(tmp_path / "a"), n_partitions=4, resume=False)
+    want = _read_all(str(tmp_path / "a")).drop_columns(["latency_ms"])
+
+    shards, read_table = set(list_shards(pages)), pq.read_table
+
+    def guarded(source, *args, **kwargs):
+        if str(source) in shards:
+            raise AssertionError(f"the driver read {source}")
+        return read_table(source, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", guarded)
+    with pytest.raises(AssertionError, match="the driver read"):
+        pq.read_table(sorted(shards)[0])
+    out = str(tmp_path / "b")
+    E.run_checkpoint(pages, out, n_partitions=4, resume=False)
+    assert _read_all(out).drop_columns(["latency_ms"]).equals(want)
+
+    monkeypatch.setattr(dedup, "_KEYS_PER_TASK", 100)  # 300 rows: 3 ranges
+    shutil.rmtree(os.path.join(out, "part-1"))
+    m = E.run_checkpoint(pages, out, n_partitions=4, resume=True)
+    assert m["partition_id"].to_pylist() == [1]
+    assert _read_all(out).drop_columns(["latency_ms"]).equals(want)
+
+    got = collect(E.extracted_dataset(pages, n_partitions=4)).sort_by("url")
+    assert got.select(want.column_names).equals(want)
 
 
 def test_input_order_independence(ray_session, small_corpus, tmp_path):

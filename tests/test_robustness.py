@@ -159,6 +159,9 @@ def test_dup_filter_collapses_same_batch_ties():
         {
             "url": pa.array(["u"]),
             "min_ts": pa.array([100], pa.timestamp("us", tz="UTC")),
+            "n_at_min": pa.array([1], pa.int64()),
+            "win_file": pa.array([""]),
+            "win_row": pa.array([-1], pa.int64()),
         }
     )
     out = DupFilter(idx)(batch)
@@ -409,9 +412,9 @@ def test_null_url_rejected_by_both_drivers(ray_session, tmp_path):
 def test_null_url_rejected_by_distributed_dup_index(
     ray_session, tmp_path, monkeypatch
 ):
-    """Above ``_DRIVER_KEY_ROWS`` keys the dup index is built by Ray tasks;
-    a null url there raises the same ValueError, naming the shard, as on
-    the driver path."""
+    """A null url raises the ValueError that names its shard from a
+    dup-index map task, in one task and in two maps and two url ranges
+    (the clean shard listed first)."""
     import re
 
     import pyarrow.parquet as pq
@@ -435,12 +438,16 @@ def test_null_url_rejected_by_distributed_dup_index(
     )
     src = tmp_path / "pages"
     src.mkdir()
-    shard = str(src / "shard-00000.parquet")
+    pq.write_table(
+        pages.filter(pa.array([True, False, True])).slice(0, 1),
+        str(src / "shard-00000.parquet"),
+    )
+    shard = str(src / "shard-00001.parquet")
     pq.write_table(pages, shard)
     named = re.escape(shard)
 
     with pytest.raises(ValueError, match=named):
         dedup.build_dup_index(str(src))
-    monkeypatch.setattr(dedup, "_DRIVER_KEY_ROWS", 0)
+    monkeypatch.setattr(dedup, "_KEYS_PER_TASK", 2)
     with pytest.raises(ValueError, match=named):
         dedup.build_dup_index(str(src))
